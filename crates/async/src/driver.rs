@@ -1,26 +1,27 @@
-//! The timer driver: owns a [`TimerService`] (and through it, any
-//! [`TimerScheme`]) plus the [`WakerTable`], and converts service expiries
-//! into task wakeups.
+//! The timer driver: owns a [`TimerScheme`] behind one lock, next to the
+//! [`WakerTable`], and converts the wheel's expiries into task wakeups.
 //!
-//! Two clocking modes, mirroring the service's own:
+//! Each sleep call runs its routine in place on the calling thread, in one
+//! short critical section: the Appendix A.2 choice of a lock over a single
+//! owning thread, so no call pays a message, a reply channel or a thread
+//! hop. Two clocking modes:
 //!
 //! * **Virtual time** (default) — the caller owns the clock and calls
-//!   [`TimerDriver::advance`]; each advance batch-drains the expiry channel
-//!   and delivers the whole coalesced wake storm before returning. This is
-//!   the deterministic mode the tests, the differential suite and the
-//!   million-sleep benchmark run in.
-//! * **Realtime** ([`TimerDriverBuilder::realtime`]) — the service thread
-//!   ticks on a wall-clock period and a dispatcher thread owned by the
-//!   driver drains expiries as they arrive, waking tasks with no caller
-//!   involvement.
+//!   [`TimerDriver::advance`], which delivers the whole coalesced wake
+//!   storm before returning. No thread is started.
+//! * **Realtime** ([`TimerDriverBuilder::realtime`]) — one ticker thread
+//!   calls `advance(1)` once per period, so both modes share every line
+//!   of the delivery path.
 //!
-//! The fire path is allocation-free: an expiry's `Request_ID` *is* the
-//! packed waker-slot handle ([`slot_to_request`]), so dispatch is one
-//! generation-checked arena lookup ([`WakerTable::take_for_fire`]) and a
-//! `Waker::wake` outside the table lock. Wheel-side events (start, restart,
-//! per-tick costs) flow through the observer installed on the service; the
-//! driver adds the async-specific [`Observer::on_wake_latency`] hook,
-//! recording arm→wake elapsed ticks per fire.
+//! The fire path is allocation-free: `advance` ticks the wheel into a
+//! reused expiry buffer and releases the wheel lock. Each expiry's
+//! `Request_ID` *is* the packed waker-slot handle ([`slot_to_request`]),
+//! so delivery is one generation-checked arena lookup
+//! ([`WakerTable::take_for_fire`]) and a `Waker::wake` outside both
+//! locks, which are never held together. Wheel-side events flow through
+//! the [`Observed`] wrapper around the scheme; the driver adds
+//! [`Observer::on_wake_latency`], recording arm→wake elapsed ticks per
+//! fire.
 //!
 //! # Backpressure
 //!
@@ -33,43 +34,76 @@
 //! the error.
 
 use std::future::Future;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::task::Waker;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tw_concurrent::sync::channel::RecvTimeoutError;
-use tw_concurrent::sync::{Arc, Mutex};
-use tw_concurrent::{Expiry, TimerService};
-use tw_core::{Observer, RequestId, TickDelta, TimerError, TimerHandle, TimerScheme};
+use tw_concurrent::sync::Mutex;
+use tw_core::{
+    Expired, Observed, Observer, RequestId, Tick, TickDelta, TimerError, TimerHandle, TimerScheme,
+};
 
 use crate::interval::Interval;
 use crate::sleep::Sleep;
 use crate::slots::{request_to_slot, slot_to_request, RegisterOutcome, WakerTable};
 use crate::timeout::Timeout;
 
-/// How long the realtime dispatcher sleeps in `recv_timeout` before
-/// re-checking the shutdown flag.
-const DISPATCH_POLL: Duration = Duration::from_millis(5);
+/// The scheme and the buffer its expiries are collected into.
+struct Wheel {
+    timers: Box<dyn TimerScheme<RequestId> + Send>,
+    /// Kept between advances so its capacity is reused; empty whenever
+    /// the lock is free.
+    fired: Vec<Expired<RequestId>>,
+}
 
 /// State shared between driver handles, polling tasks, and the realtime
-/// dispatcher thread.
-pub(crate) struct DriverShared {
-    svc: TimerService,
+/// ticker thread.
+struct DriverShared {
+    wheel: Mutex<Wheel>,
     table: WakerTable<Waker>,
     /// Wakers of sleeps that hit `Exhausted` while arming; woken (to
     /// re-poll and retry) whenever capacity is released.
     parked: Mutex<Vec<Waker>>,
     observer: Option<Arc<dyn Observer + Send + Sync>>,
-    shutdown: AtomicBool,
 }
 
 impl DriverShared {
+    /// Advances the clock by `ticks` and delivers every fire, each wake
+    /// outside both locks. Returns the number of timers the wheel fired.
+    fn advance(&self, ticks: u64) -> u64 {
+        let mut fired = {
+            let mut wheel = self.wheel.lock();
+            let Wheel { timers, fired } = &mut *wheel;
+            let mut buf = std::mem::take(fired);
+            let deadline = Tick(timers.now().as_u64().saturating_add(ticks));
+            // The lock is held across the scheme's expiry callback, which
+            // only appends to the buffer, and across the observer's scheme
+            // hooks, which the `Observer` contract keeps cheap and
+            // non-blocking. Wakes, the user code here, run after release.
+            timers.advance_to_with(deadline, &mut |e| buf.push(e));
+            buf
+        };
+        let count = fired.len() as u64;
+        let mut woken = false;
+        for expiry in fired.drain(..) {
+            woken |= self.fire(&expiry);
+        }
+        if woken {
+            // Fires freed slots: let parked sleeps contend for them.
+            self.wake_parked();
+        }
+        let mut wheel = self.wheel.lock();
+        if wheel.fired.capacity() < fired.capacity() {
+            wheel.fired = fired;
+        }
+        count
+    }
+
     /// Routes one expiry to its waker slot. Returns `true` if a live sleep
-    /// was completed (stale expiries — the sleep was dropped or reset while
-    /// the notification was in flight — are dropped silently).
-    fn fire(&self, expiry: &Expiry) -> bool {
-        let slot = request_to_slot(expiry.id);
+    /// was completed (a stale expiry — the sleep was dropped or reset
+    /// between the fire and this delivery — is dropped silently).
+    fn fire(&self, expiry: &Expired<RequestId>) -> bool {
+        let slot = request_to_slot(expiry.payload);
         let Some((waker, interval)) = self.table.take_for_fire(slot) else {
             return false;
         };
@@ -87,26 +121,6 @@ impl DriverShared {
         true
     }
 
-    /// Batch-drains the expiry channel — the coalesced wake storm after an
-    /// `advance` — then gives exhaustion-parked sleeps a retry chance.
-    fn drain_expiries(&self) -> u64 {
-        let mut woken = 0u64;
-        for expiry in self.svc.expiries().try_iter() {
-            if self.fire(&expiry) {
-                woken += 1;
-            }
-        }
-        if woken > 0 {
-            // Fires freed slots: let parked sleeps contend for them.
-            self.wake_parked();
-        }
-        woken
-    }
-
-    fn park(&self, waker: &Waker) {
-        self.parked.lock().push(waker.clone());
-    }
-
     fn wake_parked(&self) {
         let drained = std::mem::take(&mut *self.parked.lock());
         for w in drained {
@@ -115,50 +129,8 @@ impl DriverShared {
     }
 }
 
-/// The realtime dispatcher: blocks on the expiry channel, fires each
-/// notification, and opportunistically drains any burst behind it.
-fn dispatch_loop(shared: &DriverShared) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match shared.svc.expiries().recv_timeout(DISPATCH_POLL) {
-            Ok(expiry) => {
-                shared.fire(&expiry);
-                shared.drain_expiries();
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                // Idle beat: cancels release capacity without pushing an
-                // expiry, so parked sleeps get a periodic retry.
-                shared.wake_parked();
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-}
-
-/// Owns the shared state and the dispatcher thread; dropped when the last
-/// driver handle goes away.
-struct DriverCore {
-    shared: Arc<DriverShared>,
-    dispatcher: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl Drop for DriverCore {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Take the handle out, release the lock, then join: the join can
-        // outlast a dispatch round and must not hold `dispatcher` while
-        // it blocks.
-        let mut slot = self.dispatcher.lock();
-        let handle = slot.take();
-        drop(slot);
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
-    }
-}
-
 /// Builder for a [`TimerDriver`]; the async layer's single construction
-/// entry point, delegating every service knob to
-/// [`TimerService::builder`](tw_concurrent::TimerService::builder).
+/// entry point.
 ///
 /// ```
 /// use tw_async::TimerDriver;
@@ -176,25 +148,23 @@ pub struct TimerDriverBuilder<S> {
     period: Option<Duration>,
     observer: Option<Arc<dyn Observer + Send + Sync>>,
     arena_capacity: Option<usize>,
-    channel_depth: Option<usize>,
 }
 
 impl<S> TimerDriverBuilder<S>
 where
     S: TimerScheme<RequestId> + Send + 'static,
 {
-    /// Ticks the wheel on a wall-clock `period` (service thread) and
-    /// dispatches wakes from a driver-owned thread. Without this, the
-    /// driver runs in virtual time and [`TimerDriver::advance`] is the
-    /// clock.
+    /// Ticks the wheel once per wall-clock `period` from a driver-owned
+    /// thread, which also delivers the wakes. Without this, the driver
+    /// runs in virtual time and [`TimerDriver::advance`] is the clock.
     #[must_use]
     pub fn realtime(mut self, period: Duration) -> Self {
         self.period = Some(period);
         self
     }
 
-    /// Installs `observer` on both layers: the service raises the wheel
-    /// and lock/queue hooks, the driver raises
+    /// Installs `observer` on both layers: the [`Observed`] wrapper
+    /// raises the scheme hooks, the driver raises
     /// [`Observer::on_wake_latency`] per delivered wake.
     #[must_use]
     pub fn observer(mut self, observer: Arc<dyn Observer + Send + Sync>) -> Self {
@@ -211,59 +181,17 @@ where
         self
     }
 
-    /// Sizes the service's expiry channel for bursts of `depth`.
-    #[must_use]
-    pub fn channel_depth(mut self, depth: usize) -> Self {
-        self.channel_depth = Some(depth);
-        self
-    }
-
-    /// Spawns the service (and the dispatcher, in realtime mode) and
-    /// returns the cloneable driver handle.
+    /// Builds the driver (and starts the ticker, in realtime mode) and
+    /// returns the cloneable handle.
     #[must_use]
     pub fn build(self) -> TimerDriver {
-        let TimerDriverBuilder {
-            scheme,
-            period,
-            observer,
-            arena_capacity,
-            channel_depth,
-        } = self;
-        let mut builder = TimerService::builder(scheme);
-        if let Some(p) = period {
-            builder = builder.realtime(p);
-        }
-        if let Some(o) = &observer {
-            builder = builder.observer(Arc::clone(o));
-        }
-        if let Some(limit) = arena_capacity {
-            builder = builder.arena_capacity(limit);
-        }
-        if let Some(depth) = channel_depth {
-            builder = builder.channel_depth(depth);
-        }
-        let svc = builder.spawn();
-        let table = WakerTable::new();
-        if let Some(limit) = arena_capacity {
-            table.set_capacity(limit);
-        }
-        let shared = Arc::new(DriverShared {
-            svc,
-            table,
-            parked: Mutex::new(Vec::new()),
-            observer,
-            shutdown: AtomicBool::new(false),
-        });
-        let dispatcher = period.map(|_| {
-            let worker = Arc::clone(&shared);
-            std::thread::spawn(move || dispatch_loop(&worker))
-        });
-        TimerDriver {
-            inner: Arc::new(DriverCore {
-                shared,
-                dispatcher: Mutex::new(dispatcher),
-            }),
-        }
+        // Only the boxing is generic, so each scheme type adds no more
+        // than its vtable; the rest is `TimerDriver::start`.
+        let timers: Box<dyn TimerScheme<RequestId> + Send> = match &self.observer {
+            Some(o) => Box::new(Observed::new(self.scheme, Arc::clone(o))),
+            None => Box::new(self.scheme),
+        };
+        TimerDriver::start(timers, self.period, self.observer, self.arena_capacity)
     }
 }
 
@@ -271,9 +199,9 @@ where
 pub(crate) enum ArmOutcome {
     /// Timer started; the sleep holds both handles until fire/drop/reset.
     Armed {
-        /// Waker-table slot (packed into the service `Request_ID`).
+        /// Waker-table slot (packed into the wheel's `Request_ID`).
         slot: TimerHandle,
-        /// Service-side timer handle, for `restart_timer`/`stop_timer`.
+        /// Wheel-side timer handle, for `restart_timer`/`stop_timer`.
         timer: TimerHandle,
     },
     /// Capacity exhausted; the waker is parked and the sleep stays
@@ -282,10 +210,10 @@ pub(crate) enum ArmOutcome {
 }
 
 /// Cloneable handle to the async timer driver. All sleeps created from
-/// clones share one service, one wheel, and one waker table.
+/// clones share one wheel and one waker table.
 #[derive(Clone)]
 pub struct TimerDriver {
-    inner: Arc<DriverCore>,
+    shared: Arc<DriverShared>,
 }
 
 impl TimerDriver {
@@ -299,18 +227,45 @@ impl TimerDriver {
             period: None,
             observer: None,
             arena_capacity: None,
-            channel_depth: None,
         }
     }
 
-    /// Virtual-time driver with default knobs; shorthand for
-    /// `TimerDriver::builder(scheme).build()`.
-    #[must_use]
-    pub fn new<S>(scheme: S) -> TimerDriver
-    where
-        S: TimerScheme<RequestId> + Send + 'static,
-    {
-        TimerDriver::builder(scheme).build()
+    /// The non-generic rest of [`TimerDriverBuilder::build`].
+    fn start(
+        mut timers: Box<dyn TimerScheme<RequestId> + Send>,
+        period: Option<Duration>,
+        observer: Option<Arc<dyn Observer + Send + Sync>>,
+        arena_capacity: Option<usize>,
+    ) -> TimerDriver {
+        let table = WakerTable::new();
+        if let Some(limit) = arena_capacity {
+            let _ = timers.set_arena_capacity(limit);
+            table.set_capacity(limit);
+        }
+        let shared = Arc::new(DriverShared {
+            wheel: Mutex::new(Wheel {
+                timers,
+                fired: Vec::new(),
+            }),
+            table,
+            parked: Mutex::new(Vec::new()),
+            observer,
+        });
+        if let Some(period) = period {
+            // The realtime clock, detached on purpose: the last handle may
+            // drop on this very thread, inside a wake, where a join would
+            // wait on itself. Holding only a weak reference, it ends within
+            // a period of that drop.
+            let driver = Arc::downgrade(&shared);
+            std::thread::spawn(move || loop {
+                std::thread::sleep(period);
+                let Some(shared) = driver.upgrade() else {
+                    return;
+                };
+                shared.advance(1);
+            });
+        }
+        TimerDriver { shared }
     }
 
     /// A future that completes after `interval` ticks (`START_TIMER` on
@@ -339,36 +294,34 @@ impl TimerDriver {
         Interval::new(self.sleep(period), period)
     }
 
-    /// Advances virtual time by `ticks`, fires due timers, and delivers
+    /// Advances the clock by `ticks`, fires due timers, and delivers
     /// the entire coalesced wake storm before returning. Returns the
     /// number of timers the wheel fired.
     ///
-    /// In realtime mode the dispatcher delivers wakes instead; calling
-    /// this still nudges parked sleeps but the clock is the service's.
+    /// In realtime mode the ticker calls this once per period; an
+    /// explicit call moves the same clock further.
     pub fn advance(&self, ticks: u64) -> u64 {
-        let fired = self.inner.shared.svc.advance(ticks);
-        self.inner.shared.drain_expiries();
-        fired
+        self.shared.advance(ticks)
     }
 
     /// Outstanding timers in the wheel (armed sleeps, from the scheme's
     /// point of view).
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        self.inner.shared.svc.outstanding()
+        self.shared.wheel.lock().timers.outstanding()
     }
 
     /// Live waker slots — pending sleeps currently armed or mid-fire.
     #[must_use]
     pub fn pending_sleeps(&self) -> usize {
-        self.inner.shared.table.live()
+        self.shared.table.live()
     }
 
     /// Waker-table slots ever allocated (the memory high-water mark);
     /// plateaus under steady-state churn.
     #[must_use]
     pub fn waker_slots(&self) -> usize {
-        self.inner.shared.table.slot_count()
+        self.shared.table.slot_count()
     }
 
     /// Arms a sleep: allocate the waker slot *first* (so a fire racing the
@@ -383,7 +336,7 @@ impl TimerDriver {
         // retry that release's wake_parked would already have passed us
         // by. A leftover parked clone after a successful retry is a
         // harmless spurious wake.
-        self.inner.shared.park(waker);
+        self.shared.parked.lock().push(waker.clone());
         match self.try_arm(interval, waker) {
             Some(armed) => armed,
             None => ArmOutcome::Parked,
@@ -391,19 +344,24 @@ impl TimerDriver {
     }
 
     fn try_arm(&self, interval: TickDelta, waker: &Waker) -> Option<ArmOutcome> {
-        let shared = &self.inner.shared;
-        let slot = match shared.table.alloc(interval, waker.clone()) {
+        let slot = match self.shared.table.alloc(interval, waker.clone()) {
             Ok(slot) => slot,
             Err(_) => return None,
         };
-        match shared.svc.start_timer(slot_to_request(slot), interval) {
+        let started = self
+            .shared
+            .wheel
+            .lock()
+            .timers
+            .start_timer(interval, slot_to_request(slot));
+        match started {
             Ok(timer) => Some(ArmOutcome::Armed { slot, timer }),
             Err(TimerError::Exhausted) => {
-                shared.table.cancel(slot);
+                self.shared.table.cancel(slot);
                 None
             }
             Err(err) => {
-                shared.table.cancel(slot);
+                self.shared.table.cancel(slot);
                 // Config-shaped rejections (zero interval is screened by
                 // Sleep, so this is out-of-range/overflow): surface at the
                 // call site rather than parking forever.
@@ -414,10 +372,10 @@ impl TimerDriver {
 
     /// Poll-time waker re-registration on an armed sleep's slot.
     pub(crate) fn register(&self, slot: TimerHandle, waker: &Waker) -> RegisterOutcome {
-        self.inner.shared.table.register_waker(slot, waker)
+        self.shared.table.register_waker(slot, waker)
     }
 
-    /// `UPDATE` path for [`Sleep::reset`]: one `restart_timer` round-trip
+    /// `UPDATE` path for [`Sleep::reset`]: one `restart_timer` relink
     /// (never stop+start), then refresh the slot's recorded interval.
     pub(crate) fn restart(
         &self,
@@ -425,8 +383,12 @@ impl TimerDriver {
         slot: TimerHandle,
         interval: TickDelta,
     ) -> Result<(), TimerError> {
-        self.inner.shared.svc.restart_timer(timer, interval)?;
-        self.inner.shared.table.set_interval(slot, interval);
+        self.shared
+            .wheel
+            .lock()
+            .timers
+            .restart_timer(timer, interval)?;
+        self.shared.table.set_interval(slot, interval);
         Ok(())
     }
 
@@ -434,13 +396,12 @@ impl TimerDriver {
     /// the wheel timer, free the waker slot, and hand the released
     /// capacity to any exhaustion-parked sleeps.
     pub(crate) fn release(&self, timer: TimerHandle, slot: TimerHandle) {
-        let shared = &self.inner.shared;
-        // Either call may report Stale — the timer fired and the expiry
-        // is (or was) in flight; freeing the slot here makes that expiry
-        // route to a stale slot and drop silently.
-        let _ = shared.svc.stop_timer(timer);
-        if shared.table.cancel(slot) {
-            shared.wake_parked();
+        // The stop may report Stale — the timer fired and its delivery is
+        // (or was) under way; freeing the slot here makes that delivery
+        // find a stale slot and drop silently.
+        let _ = self.shared.wheel.lock().timers.stop_timer(timer);
+        if self.shared.table.cancel(slot) {
+            self.shared.wake_parked();
         }
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! [`block_on`] parks the calling thread between polls; the waker
 //! unparks it. That is the entire contract the timer driver needs: wakes
-//! may arrive from the dispatcher thread (realtime mode) or from the
+//! may arrive from the ticker thread (realtime mode) or from the
 //! same thread inside [`TimerDriver::advance`](crate::TimerDriver::advance)
 //! (virtual time), and `Thread::unpark`'s permit semantics make the
 //! already-unparked case a no-op rather than a lost wakeup.

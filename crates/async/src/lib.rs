@@ -1,10 +1,9 @@
-//! # tw-async — futures-based timers atop the timing-wheel service
+//! # tw-async — futures-based timers atop the timing wheels
 //!
 //! The async façade over the whole stack: [`Sleep`], [`Timeout`] and
-//! [`Interval`] futures driven by a [`TimerDriver`] that owns a
-//! [`TimerService`](tw_concurrent::TimerService) — and through it, *any*
-//! [`TimerScheme`](tw_core::TimerScheme): basic, hashed, hierarchical,
-//! lawn, or a comparison baseline. The paper's `START_TIMER` /
+//! [`Interval`] futures driven by a [`TimerDriver`] that owns *any*
+//! [`TimerScheme`](tw_core::TimerScheme) behind one lock: basic, hashed,
+//! hierarchical, lawn, or a comparison baseline. The paper's `START_TIMER` /
 //! `STOP_TIMER` / `UPDATE` / `EXPIRY_PROCESSING` become, respectively,
 //! first poll, drop, [`Sleep::reset`], and `Waker::wake`.
 //!
@@ -12,8 +11,8 @@
 //! hot path allocates nothing. Each pending sleep owns one generational
 //! slot in a [`TimerArena`](tw_core::arena::TimerArena) holding its task
 //! waker ([`slots::WakerTable`]); the slot handle packs into the
-//! service's `Request_ID`, so registration (re-poll) and wake (expiry
-//! drain) are each one generation-checked arena lookup. Steady-state
+//! wheel's `Request_ID`, so registration (re-poll) and wake (expiry
+//! delivery) are each one generation-checked arena lookup. Steady-state
 //! churn recycles slots off the free list —
 //! [`TimerDriver::waker_slots`] plateaus, the same memory proof the
 //! wheels make.
@@ -33,8 +32,8 @@
 //!     let driver = driver.clone();
 //!     std::thread::spawn(move || block_on(driver.sleep(TickDelta(100))))
 //! };
-//! while driver.pending_sleeps() == 0 {
-//!     std::thread::yield_now(); // wait for the sleep's first poll to arm
+//! while driver.outstanding() == 0 {
+//!     std::thread::yield_now(); // wait for the first poll to start the timer
 //! }
 //! driver.advance(100);
 //! handle.join().unwrap();

@@ -63,13 +63,13 @@ impl Sleep {
     }
 
     /// Whether the sleep has completed (a poll would return `Ready`
-    /// without touching the timer service).
+    /// without touching the wheel).
     #[must_use]
     pub fn is_elapsed(&self) -> bool {
         matches!(self.state, State::Done)
     }
 
-    /// Re-arms the sleep to expire `interval` ticks after the service's
+    /// Re-arms the sleep to expire `interval` ticks after the driver's
     /// current time.
     ///
     /// On an armed sleep this is the paper's `UPDATE`: one

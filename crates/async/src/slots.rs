@@ -1,19 +1,19 @@
 //! Arena-resident waker slots: the rendezvous between a polled sleep
-//! future and the driver's expiry drain.
+//! future and the driver's expiry delivery.
 //!
 //! Every pending sleep owns exactly one generational slot in a
 //! [`TimerArena`] — the same slab the wheels store their timer records in —
 //! holding the task [`Waker`](std::task::Waker) to invoke when the timer
 //! fires. The slot's [`TimerHandle`] (index + generation) packs losslessly
-//! into the u64 [`RequestId`] the timer service carries as the paper's
-//! `Request_ID`, so an [`Expiry`](tw_concurrent::Expiry) coming back off
-//! the service channel routes straight to its waker with one generation
-//! check and zero allocation:
+//! into the u64 [`RequestId`] the wheel carries as the paper's
+//! `Request_ID`, so an [`Expired`](tw_core::Expired) record coming back
+//! from the driver's `advance` routes straight to its waker with one
+//! generation check and zero allocation:
 //!
 //! * **register** (every poll of an armed sleep) — resolve the slot,
 //!   replace the stored waker in place (`will_wake` skips even the clone
 //!   when the task hasn't moved). No allocation: the slot already exists.
-//! * **fire** (driver drain) — resolve the slot, free it (one generation
+//! * **fire** (driver delivery) — resolve the slot, free it (one generation
 //!   bump makes every outstanding reference stale), and hand the waker
 //!   back to be invoked *outside* the table lock.
 //! * **cancel** (future dropped) — free the slot without waking.
@@ -22,8 +22,8 @@
 //! of fire/cancel/reset frees the slot first wins, and the others observe
 //! `Stale` instead of touching a recycled slot (the arena's ABA guard).
 //! Steady-state churn recycles the arena's free list, so the
-//! [`slot_count`](WakerTable::slot_count) plateau is the crate's
-//! allocation-freedom proof, same as the wheels'.
+//! [`slot_count`](WakerTable::slot_count) plateaus, same as the wheels';
+//! `tests/alloc.rs` counts the allocations themselves.
 //!
 //! The table is generic over the waker type so the loom model suite can
 //! drive the exact shipped protocol with an instrumented token in place of
@@ -37,7 +37,7 @@ use tw_core::{RequestId, Tick, TickDelta, TimerError, TimerHandle};
 /// Low 32 bits of a packed [`RequestId`].
 const LOW32: u64 = 0xFFFF_FFFF;
 
-/// Packs a slot handle into the service-facing `Request_ID`: generation in
+/// Packs a slot handle into the wheel-facing `Request_ID`: generation in
 /// the high half, slab index in the low half.
 #[must_use]
 pub fn slot_to_request(slot: TimerHandle) -> RequestId {
@@ -71,7 +71,8 @@ pub enum RegisterOutcome {
 }
 
 /// The waker table: one generational arena slot per pending sleep, shared
-/// between the polling tasks and the driver's drain under one mutex.
+/// between the polling tasks and the driver's expiry delivery under one
+/// mutex.
 ///
 /// Slots store `Option<W>` (a just-allocated slot may not have its waker
 /// yet) plus the armed interval, which the driver uses to reconstruct the

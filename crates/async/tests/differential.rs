@@ -6,13 +6,13 @@
 //! [`TimerDriver::advance`], never concurrently with the ops between
 //! advances. The oracle is a plain `(id → deadline)` map — a sleep armed
 //! at time `t` for interval `i` must complete at the first advance that
-//! reaches `t + i`, a reset rebases the deadline to the service's current
+//! reaches `t + i`, a reset rebases the deadline to the driver's current
 //! time (`UPDATE` semantics), and a drop removes it. After every advance,
 //! each live sleep's poll result must match the oracle exactly: `Ready`
 //! iff `now ≥ deadline`, and a fired sleep's waker must have been invoked
 //! by the wake storm *before* the completing poll observed it.
 //!
-//! A counting observer double-checks the API contract on the service
+//! A counting observer double-checks the API contract on the wheel
 //! side: every successful reset of an armed sleep is exactly one
 //! `on_restart` (never a stop+start pair), and `on_stop` fires only for
 //! drops and zero-interval resets of armed sleeps.
@@ -66,7 +66,7 @@ fn flag_waker() -> (Arc<Flag>, Waker) {
     (Arc::clone(&flag), Waker::from(Arc::clone(&flag)))
 }
 
-/// Service-side hook counts, for the reset-is-UPDATE assertion.
+/// Wheel-side hook counts, for the reset-is-UPDATE assertion.
 #[derive(Default)]
 struct Hooks {
     starts: AtomicU64,
@@ -269,7 +269,7 @@ fn run_schedule(ops: &[Op]) {
     expected_stops += u64::try_from(live.len()).unwrap();
     drop(live);
 
-    // Service-side contract: resets are UPDATEs — one on_restart each,
+    // Wheel-side contract: resets are UPDATEs — one on_restart each,
     // never a stop+start pair; stops come only from drops/zero-resets.
     assert_eq!(hooks.restarts.load(Ordering::SeqCst), expected_restarts);
     assert_eq!(hooks.stops.load(Ordering::SeqCst), expected_stops);

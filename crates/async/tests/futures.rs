@@ -1,6 +1,6 @@
 //! Behavioral tests for the `Sleep`/`Timeout`/`Interval` futures: the
 //! lifecycle table in `sleep.rs`'s module docs, the exhaustion
-//! backpressure contract, and the realtime dispatcher.
+//! backpressure contract, and the realtime ticker.
 
 // Integration test: panicking on an unexpected Err is the assertion.
 #![allow(clippy::unwrap_used)]
@@ -48,7 +48,7 @@ fn wheel(slots: usize) -> HashedWheelUnsorted<RequestId> {
 }
 
 fn driver() -> TimerDriver {
-    TimerDriver::new(wheel(64))
+    TimerDriver::builder(wheel(64)).build()
 }
 
 fn poll_once<F: Future + Unpin>(f: &mut F, waker: &Waker) -> Poll<F::Output> {
@@ -264,10 +264,9 @@ fn capacity_released_by_drop_unparks_a_waiter() {
 }
 
 #[test]
-fn block_on_over_realtime_dispatcher() {
-    // Realtime leg: the service thread ticks the wheel on a wall-clock
-    // period and the dispatcher thread delivers the wake — no advance
-    // calls anywhere.
+fn block_on_over_realtime_ticker() {
+    // Realtime leg: the ticker thread ticks the wheel on a wall-clock
+    // period and delivers the wake itself — no advance calls anywhere.
     let driver = TimerDriver::builder(HierarchicalWheel::<RequestId>::new(LevelSizes(vec![
         16, 16,
     ])))

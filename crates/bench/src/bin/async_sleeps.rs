@@ -2,7 +2,7 @@
 //!
 //! The async stack's scaling claim, measured end to end: `tw-async` holds
 //! `n` concurrent `Sleep` futures (1M by default; pass a count or set
-//! `ASYNC_N` for CI smoke runs) over a driver-owned timer service, then
+//! `ASYNC_N` for CI smoke runs) over a driver-owned wheel, then
 //! survives a reset churn and a chunked advance sweep that delivers the
 //! wake storms. Three claims are asserted, not just printed:
 //!
@@ -14,7 +14,7 @@
 //! * **Reset is `UPDATE`, never stop+start** — during churn, telemetry
 //!   must show exactly one `on_restart` per reset and *zero* `on_stop`:
 //!   the driver maps `Sleep::reset` to `restart_timer` (TW014's O(1)
-//!   relink), so a reset costs one command round-trip, not two plus a
+//!   relink), so a reset costs one relink, not two calls plus a
 //!   realloc.
 //! * **Exactly-once wake delivery** — every surviving sleep's waker is
 //!   invoked exactly once across the storm sweep (wake count == fires ==
@@ -94,7 +94,6 @@ fn main() {
     let driver = TimerDriver::builder(HashedWheelUnsorted::<RequestId>::new(TABLE_SIZE))
         .observer(Arc::clone(&telemetry) as Arc<dyn Observer + Send + Sync>)
         .arena_capacity(usize::try_from(n).unwrap() + 1)
-        .channel_depth(usize::try_from(n / 8).unwrap().max(64))
         .build();
     let counter = Arc::new(CountingWaker(AtomicU64::new(0)));
     let waker = Waker::from(Arc::clone(&counter));

@@ -76,9 +76,8 @@ enum Cmd {
 /// Configures and spawns a [`TimerService`]: the single construction
 /// entry point for the service thread.
 ///
-/// One builder covers what used to be three `spawn*` constructors plus the
-/// knobs they never exposed — wall-clock ticking, a shared [`Observer`],
-/// an arena admission ceiling, and the expiry-channel depth hint:
+/// One builder covers wall-clock ticking, a shared [`Observer`] and an
+/// arena admission ceiling:
 ///
 /// ```
 /// use tw_concurrent::TimerService;
@@ -97,7 +96,6 @@ pub struct TimerServiceBuilder<S> {
     period: Option<Duration>,
     observer: Option<Arc<dyn Observer + Send + Sync>>,
     arena_capacity: Option<usize>,
-    channel_depth: Option<usize>,
 }
 
 impl<S> TimerServiceBuilder<S>
@@ -133,14 +131,6 @@ where
         self
     }
 
-    /// Sizes the expiry channel for an expected burst of `depth`
-    /// notifications (a preallocation hint with the vendored channel, a
-    /// hard bound with a backpressured one).
-    pub fn channel_depth(mut self, depth: usize) -> Self {
-        self.channel_depth = Some(depth);
-        self
-    }
-
     /// Spawns the owning service thread and returns the client handle.
     #[must_use]
     pub fn spawn(self) -> TimerService {
@@ -149,7 +139,6 @@ where
             period,
             observer,
             arena_capacity,
-            channel_depth,
         } = self;
         if let Some(limit) = arena_capacity {
             let _ = scheme.set_arena_capacity(limit);
@@ -158,8 +147,8 @@ where
         // `NoopObserver` — zero-sized, every hook inlined away — instead of
         // paying dyn dispatch for no recorder.
         match observer {
-            Some(o) => TimerService::spawn_inner(scheme, period, o, channel_depth),
-            None => TimerService::spawn_inner(scheme, period, NoopObserver, channel_depth),
+            Some(o) => TimerService::spawn_inner(scheme, period, o),
+            None => TimerService::spawn_inner(scheme, period, NoopObserver),
         }
     }
 }
@@ -184,59 +173,10 @@ impl TimerService {
             period: None,
             observer: None,
             arena_capacity: None,
-            channel_depth: None,
         }
     }
 
-    /// Spawns a service around `scheme` with virtual time: the clock only
-    /// advances on [`advance`](Self::advance).
-    #[deprecated(
-        since = "0.3.0",
-        note = "build through `TimerService::builder(scheme).spawn()`, the single \
-                construction entry point; this shim lasts one release"
-    )]
-    pub fn spawn<S>(scheme: S) -> TimerService
-    where
-        S: TimerScheme<RequestId> + Send + 'static,
-    {
-        TimerService::builder(scheme).spawn()
-    }
-
-    /// Spawns a service whose clock ticks every `period` of wall time.
-    #[deprecated(
-        since = "0.3.0",
-        note = "build through `TimerService::builder(scheme).realtime(period).spawn()`; \
-                this shim lasts one release"
-    )]
-    pub fn spawn_realtime<S>(scheme: S, period: Duration) -> TimerService
-    where
-        S: TimerScheme<RequestId> + Send + 'static,
-    {
-        TimerService::builder(scheme).realtime(period).spawn()
-    }
-
-    /// Spawns a virtual-time service whose events report to `observer`.
-    #[deprecated(
-        since = "0.3.0",
-        note = "build through `TimerService::builder(scheme).observer(o).spawn()`; \
-                this shim lasts one release"
-    )]
-    pub fn spawn_with_observer<S>(
-        scheme: S,
-        observer: Arc<dyn Observer + Send + Sync>,
-    ) -> TimerService
-    where
-        S: TimerScheme<RequestId> + Send + 'static,
-    {
-        TimerService::builder(scheme).observer(observer).spawn()
-    }
-
-    fn spawn_inner<S, O>(
-        scheme: S,
-        period: Option<Duration>,
-        observer: O,
-        channel_depth: Option<usize>,
-    ) -> TimerService
+    fn spawn_inner<S, O>(scheme: S, period: Option<Duration>, observer: O) -> TimerService
     where
         S: TimerScheme<RequestId> + Send + 'static,
         O: Observer + Clone + Send + 'static,
@@ -247,10 +187,7 @@ impl TimerService {
         // Tick each armed timer was started at, for command→fire latency.
         let mut armed: HashMap<TimerHandle, Tick> = HashMap::new();
         let (cmd_tx, cmd_rx) = unbounded::<Cmd>();
-        let (exp_tx, exp_rx) = match channel_depth {
-            Some(depth) => bounded::<Expiry>(depth),
-            None => unbounded::<Expiry>(),
-        };
+        let (exp_tx, exp_rx) = unbounded::<Expiry>();
         let join = std::thread::Builder::new()
             .name("timer-service".into())
             .spawn(move || {

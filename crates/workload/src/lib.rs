@@ -8,7 +8,7 @@
 //!   comparative experiment runs on.
 //! * [`sleeps`] — future-level concurrent-sleeps plans (spawn / reset /
 //!   drop / advance) for the `tw-async` wake-storm experiments.
-//! * [`stats`] — online moments, percentiles, log histograms.
+//! * [`stats`] — online moments and percentiles.
 //! * [`theory`] — the paper's closed forms (insert costs, Little's law,
 //!   residual life, `4 + 15·n/TableSize`, the §6.2 crossover rule).
 //!
@@ -30,5 +30,5 @@ pub mod trace;
 pub use arrivals::{ArrivalProcess, Arrivals};
 pub use dist::IntervalDist;
 pub use sleeps::{SleepOp, SleepsConfig, SleepsPlan};
-pub use stats::{percentile, LogHistogram, OnlineStats};
+pub use stats::{percentile, OnlineStats};
 pub use trace::{replay, ReplayReport, Trace, TraceConfig, TraceOp};

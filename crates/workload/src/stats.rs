@@ -1,5 +1,5 @@
-//! Small statistics toolkit for the experiment harness: online moments,
-//! percentiles, and log-bucketed histograms.
+//! Small statistics toolkit for the experiment harness: online moments
+//! and percentiles. Log-bucketed histograms are `tw_obs::LogHistogram`.
 
 /// Streaming mean/variance/min/max via Welford's algorithm.
 #[derive(Debug, Clone, Default)]
@@ -98,78 +98,6 @@ pub fn percentile(data: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// Histogram with power-of-two buckets: bucket `i` counts values in
-/// `[2^i, 2^(i+1))`, with a dedicated bucket for zero.
-#[derive(Debug, Clone)]
-pub struct LogHistogram {
-    zero: u64,
-    buckets: [u64; 64],
-    count: u64,
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        LogHistogram::new()
-    }
-}
-
-impl LogHistogram {
-    /// Creates an empty histogram.
-    #[must_use]
-    pub fn new() -> LogHistogram {
-        LogHistogram {
-            zero: 0,
-            buckets: [0; 64],
-            count: 0,
-        }
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, value: u64) {
-        self.count += 1;
-        if value == 0 {
-            self.zero += 1;
-        } else {
-            self.buckets[(63 - value.leading_zeros()) as usize] += 1;
-        }
-    }
-
-    /// Total recorded values.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Count of zero values.
-    #[must_use]
-    pub fn zeros(&self) -> u64 {
-        self.zero
-    }
-
-    /// Iterates non-empty buckets as `(lower_bound, count)` pairs, zeros
-    /// first.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let zero = (self.zero > 0).then_some((0u64, self.zero));
-        zero.into_iter().chain(
-            self.buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(i, &c)| (1u64 << i, c)),
-        )
-    }
-
-    /// Approximate maximum recorded value (upper bound of the highest
-    /// non-empty bucket), or 0 if only zeros/nothing recorded.
-    #[must_use]
-    pub fn approx_max(&self) -> u64 {
-        self.buckets
-            .iter()
-            .rposition(|&c| c > 0)
-            .map_or(0, |i| (1u64 << i) * 2 - 1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,29 +139,5 @@ mod tests {
     #[should_panic(expected = "empty data")]
     fn percentile_empty_panics() {
         let _ = percentile(&[], 0.5);
-    }
-
-    #[test]
-    fn log_histogram_buckets() {
-        let mut h = LogHistogram::new();
-        for v in [0, 0, 1, 2, 3, 4, 7, 8, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 9);
-        assert_eq!(h.zeros(), 2);
-        let buckets: Vec<(u64, u64)> = h.iter().collect();
-        assert_eq!(
-            buckets,
-            vec![(0, 2), (1, 1), (2, 2), (4, 2), (8, 1), (512, 1)]
-        );
-        assert_eq!(h.approx_max(), 1023);
-    }
-
-    #[test]
-    fn log_histogram_empty() {
-        let h = LogHistogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.approx_max(), 0);
-        assert_eq!(h.iter().count(), 0);
     }
 }
