@@ -1,5 +1,5 @@
-//! The timer driver: owns a [`TimerScheme`] behind one lock, next to the
-//! [`WakerTable`], and converts the wheel's expiries into task wakeups.
+//! The timer driver: owns a [`TimerScheme`] and the waker slab behind one
+//! lock ([`Wheel`]) and converts the wheel's expiries into task wakeups.
 //!
 //! Each sleep call runs its routine in place on the calling thread, in one
 //! short critical section: the Appendix A.2 choice of a lock over a single
@@ -13,120 +13,69 @@
 //!   calls `advance(1)` once per period, so both modes share every line
 //!   of the delivery path.
 //!
-//! The fire path is allocation-free: `advance` ticks the wheel into a
-//! reused expiry buffer and releases the wheel lock. Each expiry's
-//! `Request_ID` *is* the packed waker-slot handle ([`slot_to_request`]),
-//! so delivery is one generation-checked arena lookup
-//! ([`WakerTable::take_for_fire`]) and a `Waker::wake` outside both
-//! locks, which are never held together. Wheel-side events flow through
-//! the [`Observed`] wrapper around the scheme; the driver adds
-//! [`Observer::on_wake_latency`], recording arm→wake elapsed ticks per
-//! fire.
+//! The fire path is allocation-free and takes the lock once per advance:
+//! the sweep ticks the wheel, routes each expiry's `Request_ID` (the
+//! packed slot handle, [`slot_to_request`](crate::slots::slot_to_request))
+//! to its waker, frees the slot and collects the waker into a reused
+//! per-thread buffer, all in one critical section; the batch is woken
+//! after the lock is released. Wheel-side events flow through the
+//! [`Observed`] wrapper around the scheme; the driver adds
+//! [`Observer::on_wake_latency`], the deadline→delivery distance in ticks
+//! of each wake: the advance's target tick minus the timer's deadline. It
+//! is 0 for an exact scheme advanced one tick at a time, grows with the
+//! batch of a longer `advance`, and includes a reduced-precision
+//! hierarchy's §6.2 lateness.
 //!
 //! # Backpressure
 //!
-//! When either arena is at its [`arena_capacity`](TimerDriverBuilder::arena_capacity)
-//! cap, arming reports [`TimerError::Exhausted`] internally. The driver
-//! converts that into *recoverable pending*: the sleep's waker is parked,
-//! the arm retried once (a fire may have raced the failure), and on the
-//! next capacity release — any fire or cancel — all parked wakers are
-//! woken so their sleeps re-poll and re-try the arm. No task ever observes
-//! the error.
+//! When either the slab or the scheme's arena is at its
+//! [`arena_capacity`](TimerDriverBuilder::arena_capacity) cap, arming
+//! reports [`TimerError::Exhausted`](tw_core::TimerError::Exhausted)
+//! internally. The driver converts that into *recoverable pending*: the
+//! sleep's waker is parked under the same lock, and the next capacity
+//! release (any fire or drop, which must take that lock) wakes every
+//! parked sleep to re-poll and re-try the arm. No task ever observes the
+//! error, and no wakeup is lost between the failure and the park.
 
+use std::cell::Cell;
 use std::future::Future;
 use std::sync::Arc;
 use std::task::Waker;
 use std::time::Duration;
 
 use tw_concurrent::sync::Mutex;
-use tw_core::{
-    Expired, Observed, Observer, RequestId, Tick, TickDelta, TimerError, TimerHandle, TimerScheme,
-};
+use tw_core::{Observed, Observer, RequestId, TickDelta, TimerError, TimerHandle, TimerScheme};
 
 use crate::interval::Interval;
 use crate::sleep::Sleep;
-use crate::slots::{request_to_slot, slot_to_request, RegisterOutcome, WakerTable};
+use crate::slots::{ArmOutcome, RegisterOutcome, Wheel};
 use crate::timeout::Timeout;
 
-/// The scheme and the buffer its expiries are collected into.
-struct Wheel {
-    timers: Box<dyn TimerScheme<RequestId> + Send>,
-    /// Kept between advances so its capacity is reused; empty whenever
-    /// the lock is free.
-    fired: Vec<Expired<RequestId>>,
+thread_local! {
+    /// The wakers one advance collects under the lock and wakes after it.
+    /// Per thread, so its capacity is reused without taking the lock
+    /// again; a wake that re-enters `advance` finds it empty and starts
+    /// its own.
+    static WOKEN: Cell<Vec<Waker>> = const { Cell::new(Vec::new()) };
 }
 
-/// State shared between driver handles, polling tasks, and the realtime
-/// ticker thread.
-struct DriverShared {
-    wheel: Mutex<Wheel>,
-    table: WakerTable<Waker>,
-    /// Wakers of sleeps that hit `Exhausted` while arming; woken (to
-    /// re-poll and retry) whenever capacity is released.
-    parked: Mutex<Vec<Waker>>,
-    observer: Option<Arc<dyn Observer + Send + Sync>>,
-}
-
-impl DriverShared {
-    /// Advances the clock by `ticks` and delivers every fire, each wake
-    /// outside both locks. Returns the number of timers the wheel fired.
-    fn advance(&self, ticks: u64) -> u64 {
-        let mut fired = {
-            let mut wheel = self.wheel.lock();
-            let Wheel { timers, fired } = &mut *wheel;
-            let mut buf = std::mem::take(fired);
-            let deadline = Tick(timers.now().as_u64().saturating_add(ticks));
-            // The lock is held across the scheme's expiry callback, which
-            // only appends to the buffer, and across the observer's scheme
-            // hooks, which the `Observer` contract keeps cheap and
-            // non-blocking. Wakes, the user code here, run after release.
-            timers.advance_to_with(deadline, &mut |e| buf.push(e));
-            buf
-        };
-        let count = fired.len() as u64;
-        let mut woken = false;
-        for expiry in fired.drain(..) {
-            woken |= self.fire(&expiry);
-        }
-        if woken {
-            // Fires freed slots: let parked sleeps contend for them.
-            self.wake_parked();
-        }
-        let mut wheel = self.wheel.lock();
-        if wheel.fired.capacity() < fired.capacity() {
-            wheel.fired = fired;
-        }
-        count
+/// Advances `wheel`'s clock by `ticks` and delivers every fire, each wake
+/// outside the lock. Returns the number of timers the wheel fired.
+fn advance(wheel: &Mutex<Wheel<Waker>>, ticks: u64) -> u64 {
+    let mut woken = WOKEN.take();
+    // The lock is held across the scheme's expiry callback, which frees
+    // one slot and pushes its waker, and across the observer's hooks,
+    // which the `Observer` contract keeps cheap and non-blocking. Wakes,
+    // the user code here, run after release.
+    let fired = {
+        let mut wheel = wheel.lock();
+        wheel.sweep(ticks, &mut woken)
+    };
+    for waker in woken.drain(..) {
+        waker.wake();
     }
-
-    /// Routes one expiry to its waker slot. Returns `true` if a live sleep
-    /// was completed (a stale expiry — the sleep was dropped or reset
-    /// between the fire and this delivery — is dropped silently).
-    fn fire(&self, expiry: &Expired<RequestId>) -> bool {
-        let slot = request_to_slot(expiry.payload);
-        let Some((waker, interval)) = self.table.take_for_fire(slot) else {
-            return false;
-        };
-        if let Some(obs) = &self.observer {
-            // Arm tick reconstructed from the slot's recorded interval;
-            // saturating because reduced-precision schemes may round the
-            // deadline below `armed + interval`.
-            let armed = expiry.deadline.as_u64().saturating_sub(interval.as_u64());
-            let elapsed = expiry.fired_at.as_u64().saturating_sub(armed);
-            obs.on_wake_latency(TickDelta(elapsed));
-        }
-        if let Some(w) = waker {
-            w.wake();
-        }
-        true
-    }
-
-    fn wake_parked(&self) {
-        let drained = std::mem::take(&mut *self.parked.lock());
-        for w in drained {
-            w.wake();
-        }
-    }
+    WOKEN.set(woken);
+    fired
 }
 
 /// Builder for a [`TimerDriver`]; the async layer's single construction
@@ -165,14 +114,15 @@ where
 
     /// Installs `observer` on both layers: the [`Observed`] wrapper
     /// raises the scheme hooks, the driver raises
-    /// [`Observer::on_wake_latency`] per delivered wake.
+    /// [`Observer::on_wake_latency`] per delivered wake (see the module
+    /// docs).
     #[must_use]
     pub fn observer(mut self, observer: Arc<dyn Observer + Send + Sync>) -> Self {
         self.observer = Some(observer);
         self
     }
 
-    /// Caps both arenas — the scheme's timer records and the waker table —
+    /// Caps both slabs — the scheme's timer records and the waker slots —
     /// at `limit` live entries. Past the cap, arming parks instead of
     /// erroring (see the module docs on backpressure).
     #[must_use]
@@ -195,25 +145,11 @@ where
     }
 }
 
-/// Result of arming a sleep's timer.
-pub(crate) enum ArmOutcome {
-    /// Timer started; the sleep holds both handles until fire/drop/reset.
-    Armed {
-        /// Waker-table slot (packed into the wheel's `Request_ID`).
-        slot: TimerHandle,
-        /// Wheel-side timer handle, for `restart_timer`/`stop_timer`.
-        timer: TimerHandle,
-    },
-    /// Capacity exhausted; the waker is parked and the sleep stays
-    /// pending — it re-arms on the wake that follows a capacity release.
-    Parked,
-}
-
 /// Cloneable handle to the async timer driver. All sleeps created from
-/// clones share one wheel and one waker table.
+/// clones share one wheel and one waker slab, behind one lock.
 #[derive(Clone)]
 pub struct TimerDriver {
-    shared: Arc<DriverShared>,
+    wheel: Arc<Mutex<Wheel<Waker>>>,
 }
 
 impl TimerDriver {
@@ -232,40 +168,27 @@ impl TimerDriver {
 
     /// The non-generic rest of [`TimerDriverBuilder::build`].
     fn start(
-        mut timers: Box<dyn TimerScheme<RequestId> + Send>,
+        timers: Box<dyn TimerScheme<RequestId> + Send>,
         period: Option<Duration>,
         observer: Option<Arc<dyn Observer + Send + Sync>>,
         arena_capacity: Option<usize>,
     ) -> TimerDriver {
-        let table = WakerTable::new();
-        if let Some(limit) = arena_capacity {
-            let _ = timers.set_arena_capacity(limit);
-            table.set_capacity(limit);
-        }
-        let shared = Arc::new(DriverShared {
-            wheel: Mutex::new(Wheel {
-                timers,
-                fired: Vec::new(),
-            }),
-            table,
-            parked: Mutex::new(Vec::new()),
-            observer,
-        });
+        let wheel = Arc::new(Mutex::new(Wheel::new(timers, observer, arena_capacity)));
         if let Some(period) = period {
             // The realtime clock, detached on purpose: the last handle may
             // drop on this very thread, inside a wake, where a join would
             // wait on itself. Holding only a weak reference, it ends within
             // a period of that drop.
-            let driver = Arc::downgrade(&shared);
+            let driver = Arc::downgrade(&wheel);
             std::thread::spawn(move || loop {
                 std::thread::sleep(period);
-                let Some(shared) = driver.upgrade() else {
+                let Some(wheel) = driver.upgrade() else {
                     return;
                 };
-                shared.advance(1);
+                advance(&wheel, 1);
             });
         }
-        TimerDriver { shared }
+        TimerDriver { wheel }
     }
 
     /// A future that completes after `interval` ticks (`START_TIMER` on
@@ -283,7 +206,7 @@ impl TimerDriver {
     }
 
     /// A stream of ticks every `period` ticks; each completed tick re-arms
-    /// via `UPDATE` on the same waker slot.
+    /// the sleep, whose next poll starts a fresh timer.
     ///
     /// # Panics
     ///
@@ -301,107 +224,73 @@ impl TimerDriver {
     /// In realtime mode the ticker calls this once per period; an
     /// explicit call moves the same clock further.
     pub fn advance(&self, ticks: u64) -> u64 {
-        self.shared.advance(ticks)
+        advance(&self.wheel, ticks)
     }
 
     /// Outstanding timers in the wheel (armed sleeps, from the scheme's
     /// point of view).
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        self.shared.wheel.lock().timers.outstanding()
+        let wheel = self.wheel.lock();
+        wheel.outstanding()
     }
 
-    /// Live waker slots — pending sleeps currently armed or mid-fire.
+    /// Live waker slots — pending sleeps currently armed.
     #[must_use]
     pub fn pending_sleeps(&self) -> usize {
-        self.shared.table.live()
+        let wheel = self.wheel.lock();
+        wheel.pending_sleeps()
     }
 
-    /// Waker-table slots ever allocated (the memory high-water mark);
+    /// Waker slots ever allocated (the memory high-water mark);
     /// plateaus under steady-state churn.
     #[must_use]
     pub fn waker_slots(&self) -> usize {
-        self.shared.table.slot_count()
+        let wheel = self.wheel.lock();
+        wheel.waker_slots()
     }
 
-    /// Arms a sleep: allocate the waker slot *first* (so a fire racing the
-    /// return can already find the waker), then `START_TIMER` with the
-    /// packed slot as the `Request_ID`.
+    /// Arms a sleep in one critical section: slot, `START_TIMER`, or the
+    /// park on exhaustion.
     pub(crate) fn arm(&self, interval: TickDelta, waker: &Waker) -> ArmOutcome {
-        if let Some(armed) = self.try_arm(interval, waker) {
-            return armed;
-        }
-        // Exhausted: park, then retry once — a fire may have released
-        // capacity between the failure and the park, and without the
-        // retry that release's wake_parked would already have passed us
-        // by. A leftover parked clone after a successful retry is a
-        // harmless spurious wake.
-        self.shared.parked.lock().push(waker.clone());
-        match self.try_arm(interval, waker) {
-            Some(armed) => armed,
-            None => ArmOutcome::Parked,
-        }
-    }
-
-    fn try_arm(&self, interval: TickDelta, waker: &Waker) -> Option<ArmOutcome> {
-        let slot = match self.shared.table.alloc(interval, waker.clone()) {
-            Ok(slot) => slot,
-            Err(_) => return None,
+        let armed = {
+            let mut wheel = self.wheel.lock();
+            wheel.arm(interval, waker.clone())
         };
-        let started = self
-            .shared
-            .wheel
-            .lock()
-            .timers
-            .start_timer(interval, slot_to_request(slot));
-        match started {
-            Ok(timer) => Some(ArmOutcome::Armed { slot, timer }),
-            Err(TimerError::Exhausted) => {
-                self.shared.table.cancel(slot);
-                None
-            }
-            Err(err) => {
-                self.shared.table.cancel(slot);
-                // Config-shaped rejections (zero interval is screened by
-                // Sleep, so this is out-of-range/overflow): surface at the
-                // call site rather than parking forever.
-                panic!("timer driver could not arm sleep: {err}");
-            }
-        }
+        // Config-shaped rejections (zero interval is screened by Sleep, so
+        // this is out-of-range/overflow): surface at the call site rather
+        // than parking forever.
+        armed.unwrap_or_else(|err| panic!("timer driver could not arm sleep: {err}"))
     }
 
     /// Poll-time waker re-registration on an armed sleep's slot.
     pub(crate) fn register(&self, slot: TimerHandle, waker: &Waker) -> RegisterOutcome {
-        self.shared.table.register_waker(slot, waker)
+        let mut wheel = self.wheel.lock();
+        wheel.register_waker(slot, waker)
     }
 
     /// `UPDATE` path for [`Sleep::reset`]: one `restart_timer` relink
-    /// (never stop+start), then refresh the slot's recorded interval.
+    /// (never stop+start), with no slot write.
     pub(crate) fn restart(
         &self,
         timer: TimerHandle,
-        slot: TimerHandle,
         interval: TickDelta,
     ) -> Result<(), TimerError> {
-        self.shared
-            .wheel
-            .lock()
-            .timers
-            .restart_timer(timer, interval)?;
-        self.shared.table.set_interval(slot, interval);
-        Ok(())
+        let mut wheel = self.wheel.lock();
+        wheel.restart(timer, interval)
     }
 
-    /// Cancellation path (drop, or reset of an already-fired sleep): stop
-    /// the wheel timer, free the waker slot, and hand the released
-    /// capacity to any exhaustion-parked sleeps.
+    /// Cancellation path (drop, or a zero-interval reset): stop the wheel
+    /// timer, free the waker slot, and wake any exhaustion-parked sleeps
+    /// if that released capacity.
     pub(crate) fn release(&self, timer: TimerHandle, slot: TimerHandle) {
-        // The stop may report Stale — the timer fired and its delivery is
-        // (or was) under way; freeing the slot here makes that delivery
-        // find a stale slot and drop silently.
-        let _ = self.shared.wheel.lock().timers.stop_timer(timer);
-        if self.shared.table.cancel(slot) {
-            self.shared.wake_parked();
+        let mut unparked = Vec::new();
+        {
+            let mut wheel = self.wheel.lock();
+            wheel.release(timer, slot, &mut unparked);
+        }
+        for waker in unparked {
+            waker.wake();
         }
     }
 }

@@ -8,12 +8,13 @@
 //! first poll, drop, [`Sleep::reset`], and `Waker::wake`.
 //!
 //! The design constraint carried over from the wheels themselves: the
-//! hot path allocates nothing. Each pending sleep owns one generational
-//! slot in a [`TimerArena`](tw_core::arena::TimerArena) holding its task
-//! waker ([`slots::WakerTable`]); the slot handle packs into the
-//! wheel's `Request_ID`, so registration (re-poll) and wake (expiry
-//! delivery) are each one generation-checked arena lookup. Steady-state
-//! churn recycles slots off the free list —
+//! hot path allocates nothing. Each pending sleep owns one 24-byte
+//! generational slot holding its task waker ([`slots::WakerSlab`]); the
+//! slot handle packs into the wheel's `Request_ID`, so registration
+//! (re-poll) and wake (expiry delivery) are each one generation-checked
+//! slab lookup. The slab sits next to the scheme behind the driver's one
+//! lock ([`slots::Wheel`]), so each of a sleep's routines is one critical
+//! section. Steady-state churn recycles slots off the free list —
 //! [`TimerDriver::waker_slots`] plateaus, the same memory proof the
 //! wheels make.
 //!
@@ -39,9 +40,10 @@
 //! handle.join().unwrap();
 //! ```
 
-// The waker-slot protocol is loom-checkable: under `--cfg loom` only the
-// table (and its tw-concurrent loom-backed Mutex) compiles, and the model
-// suite drives fire/register/cancel races through the exact shipped code.
+// The one-lock protocol is loom-checkable: under `--cfg loom` only the
+// slab and the wheel state compile, and the model suite drives
+// fire/register/reset/drop races through the exact shipped code under
+// tw-concurrent's loom-backed Mutex.
 pub mod slots;
 
 #[cfg(not(loom))]

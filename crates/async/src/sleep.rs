@@ -13,7 +13,8 @@
 //! nothing and `interval` is measured from first poll, not construction.
 //! Once armed, the steady-state poll path is allocation-free: one
 //! generation-checked slot lookup and a `will_wake` test
-//! ([`WakerTable::register_waker`](crate::slots::WakerTable::register_waker)).
+//! ([`WakerSlab::register_waker`](crate::slots::WakerSlab::register_waker)).
+//! Each row of the table is one critical section under the driver's lock.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -21,8 +22,8 @@ use std::task::{Context, Poll, Waker};
 
 use tw_core::{TickDelta, TimerError, TimerHandle};
 
-use crate::driver::{ArmOutcome, TimerDriver};
-use crate::slots::RegisterOutcome;
+use crate::driver::TimerDriver;
+use crate::slots::{ArmOutcome, RegisterOutcome};
 
 enum State {
     /// Not yet armed: either never polled, exhaustion-parked, or revived
@@ -73,11 +74,12 @@ impl Sleep {
     /// current time.
     ///
     /// On an armed sleep this is the paper's `UPDATE`: one
-    /// `restart_timer` relink on the existing timer record and waker slot
-    /// — never a stop+start pair, observable as a lone `on_restart` in
-    /// telemetry. If the timer fired while this call was in flight (the
-    /// handle went stale), or the sleep already completed, the sleep
-    /// returns to `Idle` and re-arms fresh on its next poll. A zero
+    /// `restart_timer` relink on the existing timer record, with the waker
+    /// slot untouched — never a stop+start pair, observable as a lone
+    /// `on_restart` in telemetry. If the timer already fired (the handle
+    /// is stale, and the sweep that fired it freed the slot), or the sleep
+    /// already completed, the sleep returns to `Idle` and re-arms fresh on
+    /// its next poll, on a new slot the old expiry cannot reach. A zero
     /// `interval` completes the sleep immediately.
     pub fn reset(&mut self, interval: TickDelta) {
         self.interval = interval;
@@ -89,13 +91,11 @@ impl Sleep {
                     self.state = State::Done;
                     return;
                 }
-                match self.driver.restart(timer, slot, interval) {
+                match self.driver.restart(timer, interval) {
                     Ok(()) => {} // stays Armed on the same slot — pure UPDATE
                     Err(TimerError::Stale) => {
-                        // Fired mid-reset; the in-flight expiry must not
-                        // wake a future that asked for more time. Freeing
-                        // the slot makes it stale, then re-arm lazily.
-                        self.driver.release(timer, slot);
+                        // Fired before the reset: its sweep freed the slot
+                        // already, so only the re-arm is left, lazily.
                         self.state = State::Idle;
                     }
                     Err(err) => {

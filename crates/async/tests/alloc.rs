@@ -1,8 +1,9 @@
-//! Counted proof that the sleep hot path allocates nothing: a counting
-//! global allocator tallies the test thread's allocations across 10k
-//! arm/reset/drop/advance cycles of a warmed-up virtual-time driver.
-//! Counting is per thread, so the test harness's own threads never reach
-//! the tally.
+//! Counted proofs about the sleep path's heap use, from a counting global
+//! allocator that tallies the test thread's allocations and live bytes:
+//! the hot path allocates nothing across 10k arm/reset/drop/advance cycles
+//! of a warmed-up virtual-time driver, and an armed sleep costs the bare
+//! scheme's bytes plus one waker-slab entry. Counting is per thread, so
+//! the test harness's own threads never reach the tally.
 
 #![cfg(not(loom))]
 
@@ -14,31 +15,36 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
+use tw_async::slots::Entry;
 use tw_async::{Sleep, TimerDriver};
 use tw_core::wheel::HashedWheelUnsorted;
-use tw_core::{Observer, RequestId, TickDelta};
+use tw_core::{Observer, RequestId, TickDelta, TimerScheme};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting each allocation on the calling thread.
-/// `realloc` and `alloc_zeroed` keep their default bodies, which go
-/// through `alloc`, so they are counted too.
+/// The system allocator, counting each allocation and the bytes live on
+/// the calling thread. `realloc` and `alloc_zeroed` keep their default
+/// bodies, which go through `alloc` and `dealloc`, so they are counted
+/// too.
 struct Counting;
 
 // SAFETY: both methods forward their arguments unchanged to `System`, so
-// its `GlobalAlloc` contract carries over; the only addition is a bump of
-// a const-initialised thread-local, which neither allocates nor unwinds.
+// its `GlobalAlloc` contract carries over; the only additions are bumps of
+// const-initialised thread-locals, which neither allocate nor unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // `try_with`: the slot may already be gone while a thread exits.
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        let _ = LIVE_BYTES.try_with(|c| c.set(c.get().wrapping_add_unsigned(layout.size())));
         // SAFETY: forwarded verbatim; the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE_BYTES.try_with(|c| c.set(c.get().wrapping_sub_unsigned(layout.size())));
         // SAFETY: forwarded verbatim; `ptr` came from `alloc` above, which
         // is `System`'s.
         unsafe { System.dealloc(ptr, layout) }
@@ -99,4 +105,47 @@ fn warm_sleep_cycles_allocate_nothing() {
     assert_eq!(counted, 0, "allocations over 10k warm cycles");
     assert_eq!(task.0.load(Ordering::Relaxed), 10_100, "one wake per fire");
     assert_eq!(driver.outstanding(), 0);
+}
+
+/// Bytes the test thread holds live right now.
+fn live_bytes() -> isize {
+    LIVE_BYTES.with(Cell::get)
+}
+
+#[test]
+fn a_sleep_costs_the_bare_schemes_bytes_plus_one_slab_entry() {
+    let entry = std::mem::size_of::<Entry<Waker>>();
+    assert!(entry <= 24, "a waker slab entry is {entry} B");
+
+    // A power of two, so the scheme's arena and the slab both end exactly
+    // full: neither side is charged `Vec` doubling slack the other is not.
+    const N: usize = 4096;
+    let interval = |i: usize| TickDelta(1 + (i % 200) as u64);
+
+    let mut bare = HashedWheelUnsorted::<RequestId>::new(256);
+    let before = live_bytes();
+    for i in 0..N {
+        assert!(bare.start_timer(interval(i), RequestId(i as u64)).is_ok());
+    }
+    let bare_bytes = live_bytes() - before;
+
+    let driver = TimerDriver::builder(HashedWheelUnsorted::<RequestId>::new(256)).build();
+    let waker = Waker::from(Arc::new(Task(AtomicU64::new(0))));
+    let mut sleeps = Vec::with_capacity(N);
+    let before = live_bytes();
+    for i in 0..N {
+        let mut sleep = driver.sleep(interval(i));
+        assert!(poll(&mut sleep, &waker).is_pending());
+        sleeps.push(sleep);
+    }
+    let driver_bytes = live_bytes() - before;
+
+    assert_eq!(driver.pending_sleeps(), N);
+    let per_sleep = |bytes: isize| bytes as f64 / N as f64;
+    assert!(
+        per_sleep(driver_bytes) <= per_sleep(bare_bytes) + entry as f64,
+        "driver {:.2} B per sleep, bare scheme {:.2} B per timer, slab entry {entry} B",
+        per_sleep(driver_bytes),
+        per_sleep(bare_bytes),
+    );
 }

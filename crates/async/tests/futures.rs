@@ -263,6 +263,42 @@ fn capacity_released_by_drop_unparks_a_waiter() {
     assert!(poll_once(&mut waiter, &w2).is_ready());
 }
 
+/// The park happens under the arm's own lock, with no retry after it, so
+/// the wakeup must come from a release in a later call: here a fire two
+/// advances on. Calls that free nothing leave the parked sleep asleep.
+#[test]
+fn parked_sleep_is_woken_by_a_later_fire_and_arms() {
+    let driver = TimerDriver::builder(wheel(16)).arena_capacity(1).build();
+    let (holder_flag, w1) = flag_waker();
+    let (parked_flag, w2) = flag_waker();
+    let mut holder = driver.sleep(TickDelta(5));
+    let mut waiter = driver.sleep(TickDelta(3));
+    assert!(poll_once(&mut holder, &w1).is_pending());
+    assert!(poll_once(&mut waiter, &w2).is_pending());
+    assert_eq!(driver.pending_sleeps(), 1, "the waiter parked");
+
+    // A reset and an advance that fires nothing release no capacity.
+    holder.reset(TickDelta(5));
+    assert!(poll_once(&mut waiter, &w2).is_pending(), "still parked");
+    driver.advance(4);
+    assert!(!parked_flag.0.load(Ordering::SeqCst), "no release, no wake");
+    assert_eq!(driver.outstanding(), 1);
+
+    // The holder's fire frees the slot and wakes the parked sleep.
+    driver.advance(1);
+    assert!(holder_flag.0.load(Ordering::SeqCst));
+    assert!(
+        parked_flag.0.load(Ordering::SeqCst),
+        "the fire woke the parked sleep"
+    );
+    assert!(poll_once(&mut holder, &w1).is_ready());
+    assert!(poll_once(&mut waiter, &w2).is_pending());
+    assert_eq!(driver.outstanding(), 1, "the waiter armed on its re-poll");
+    driver.advance(3);
+    assert!(poll_once(&mut waiter, &w2).is_ready());
+    assert_eq!(driver.waker_slots(), 1, "the slab never grew past the cap");
+}
+
 #[test]
 fn block_on_over_realtime_ticker() {
     // Realtime leg: the ticker thread ticks the wheel on a wall-clock

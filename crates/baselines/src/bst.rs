@@ -1,6 +1,6 @@
 //! Scheme 3b — an unbalanced binary search tree priority queue (§4.1.1).
 //!
-//! The paper reports ([7]) that "unbalanced binary trees are less expensive
+//! The paper reports (\[7\]) that "unbalanced binary trees are less expensive
 //! than balanced binary trees" but warns that they "easily degenerate into a
 //! linear list; this can happen, for instance, if a set of equal timer
 //! intervals are inserted" — the `degenerates_on_equal_intervals` test

@@ -1,6 +1,6 @@
 //! Scheme 3c — a leftist tree (mergeable min-heap), one of the §4.1.1
 //! tree-based structures ("these include unbalanced binary trees, heaps,
-//! post-order and end-order trees, and leftist-trees [4,6]").
+//! post-order and end-order trees, and leftist-trees \[4,6\]").
 //!
 //! A leftist tree keeps the *rank* (distance to the nearest missing child)
 //! of every left child ≥ that of its sibling, so the right spine has length

@@ -1,6 +1,6 @@
 //! FIG3 — the §3.2 / Figure 3 queueing analysis, measured.
 //!
-//! The paper models the timer module as a G/G/∞ queue and quotes from [4]
+//! The paper models the timer module as a G/G/∞ queue and quotes from \[4\]
 //! the average ordered-list insertion costs (reads+writes, one unit each;
 //! an insert costs 2 units of link writes plus one unit per element
 //! examined):

@@ -3,7 +3,7 @@
 //!
 //! "As time increases within a cycle and we travel down the array it
 //! becomes more likely that event records will be inserted in the overflow
-//! list. Other implementations [DECSIM] reduce (but do not completely
+//! list. Other implementations \[DECSIM\] reduce (but do not completely
 //! avoid) this effect by rotating the wheel half-way through the array."
 //! Scheme 4's per-tick rotation eliminates it entirely (§5).
 //!

@@ -5,7 +5,7 @@
 //! Each scheme runs the same staggered random workload with a
 //! [`SchemeTelemetry`] attached via `WheelConfig::observer`; the table is
 //! read back entirely from the telemetry — counters for the §2 routine
-//! tallies, the log₂ [`LogHistogram`] for p50/p99 (reported as bucket upper
+//! tallies, the log₂ [`LogHistogram`](tw_obs::LogHistogram) for p50/p99 (reported as bucket upper
 //! bounds, a ≤2× overestimate) and the exact max. The §6.2 bounds are
 //! asserted, not just printed: exact schemes (4, 6, 7/Full, hybrid) must
 //! show an all-zero error distribution, while the reduced-precision

@@ -7,7 +7,7 @@
 //! Processor A finishes and releases its semaphore."
 //!
 //! [`CoarseLocked`] is exactly that semaphore-around-everything structure:
-//! one [`Mutex`](crate::sync::Mutex) serializing every routine of an
+//! one [`Mutex`] serializing every routine of an
 //! arbitrary single-threaded scheme. It is correct and simple — and the
 //! `smp` experiment shows it stops scaling the moment the protected
 //! operation is O(n), which is Glaser's point.

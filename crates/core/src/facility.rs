@@ -115,7 +115,7 @@ impl<S: TimerScheme<(RequestId, ExpiryAction)>> TimerFacility<S> {
     /// Starts a *periodic* timer: after each expiry the facility re-arms it
     /// for another `period`, until `STOP_TIMER` is called.
     ///
-    /// This is the §1 failure-recovery pattern ("some [failures] can be
+    /// This is the §1 failure-recovery pattern ("some \[failures\] can be
     /// detected by periodic checking (e.g. memory corruption) and such
     /// timers always expire"); the paper's module interface leaves re-arming
     /// to the client, but every deployed facility grows this convenience.

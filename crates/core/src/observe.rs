@@ -1,7 +1,7 @@
 //! Zero-cost observer hooks for every timer scheme.
 //!
 //! The §7 evaluation counts what the timer module does per operation
-//! ([`OpCounters`](crate::OpCounters) reproduces the VAX instruction
+//! ([`OpCounters`] reproduces the VAX instruction
 //! model), but a production facility also needs *distributions* — firing
 //! error of the reduced-precision §6.2 variants, per-shard contention,
 //! service queue depth. This module is the hook layer those measurements
@@ -109,11 +109,12 @@ pub trait Observer {
         let _ = elapsed;
     }
 
-    /// Poll→wake latency of the async layer: the elapsed ticks between a
-    /// sleep future registering its waker and the driver waking it. Sits
-    /// next to [`on_command_latency`](Observer::on_command_latency): that
-    /// one measures the command channel, this one the full futures round
-    /// trip through the waker table.
+    /// Deadline→delivery latency of the async layer, in ticks: the tick
+    /// the `tw-async` driver's `advance` delivered a sleep's wake at (the
+    /// advance's target), minus the timer's deadline. It reads 0 for an
+    /// exact scheme advanced one tick at a time; a batched advance adds
+    /// its overshoot, and a reduced-precision hierarchy its §6.2 lateness
+    /// (an early fire reads 0).
     fn on_wake_latency(&self, elapsed: TickDelta) {
         let _ = elapsed;
     }

@@ -1,5 +1,5 @@
 //! A gate-level logic simulator — the original home of the timing wheel
-//! (§4.2: TEGAS [11], DECSIM [12], Ulrich's time-sequenced simulation [13]).
+//! (§4.2: TEGAS \[11\], DECSIM \[12\], Ulrich's time-sequenced simulation \[13\]).
 //!
 //! Gates have propagation delays; when an input net changes, an evaluation
 //! event for each gate on its fan-out is scheduled `delay` ticks ahead.

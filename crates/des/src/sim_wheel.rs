@@ -7,7 +7,7 @@
 //! overflow list that is rescanned when the wheel wraps. "A problem with
 //! this implementation is that as time increases within a cycle … it
 //! becomes more likely that event records will be inserted in the overflow
-//! list. Other implementations [DECSIM] reduce (but do not completely
+//! list. Other implementations \[DECSIM\] reduce (but do not completely
 //! avoid) this effect by rotating the wheel half-way through the array."
 //!
 //! [`SimWheel`] implements both rotation policies behind the standard

@@ -5,7 +5,7 @@
 //! outstanding timer is "in service" simultaneously, so Little's law gives
 //! the average number outstanding, and the remaining time of queued timers
 //! seen by a new insert follows the residual-life density of the interval
-//! distribution. From [4] the paper quotes average ordered-list insertion
+//! distribution. From \[4\] the paper quotes average ordered-list insertion
 //! costs (reads + writes, each one unit):
 //!
 //! * `2 + 2n/3` — negative exponential intervals, search from the front,
