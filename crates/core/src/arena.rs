@@ -17,7 +17,9 @@
 //!
 //! Lists are headed by [`ListHead`] values owned by the scheme (one per wheel
 //! slot, for example); the arena only stores the per-node `next`/`prev`
-//! links. All operations are O(1) except iteration.
+//! links. An unordered slot that is drained whole can instead be a
+//! [`SlotList`], two chains split by index parity, so the drain overlaps two
+//! cache misses. All operations are O(1) except iteration.
 
 use alloc::format;
 use alloc::string::String;
@@ -129,16 +131,94 @@ impl Default for ListHead {
     }
 }
 
+/// An unordered wheel slot made of two intrusive [`ListHead`] chains.
+///
+/// Draining one list is a pointer chase: a node's address is known only
+/// once its predecessor has loaded, so each node costs a full cache miss in
+/// series. A `SlotList` files a node on the chain its slab-index parity
+/// names, and [`pop_front`](Self::pop_front) alternates between the chains,
+/// so a drain keeps two independent chases in flight. Because the parity
+/// fixes the chain, [`unlink`](Self::unlink) stays one O(1) unlink with no
+/// per-node tag. The slot keeps FIFO order within a chain only; across the
+/// chains the drain order is unspecified.
+///
+/// Like [`ListHead`], a `SlotList` is plain data and deliberately not
+/// `Clone`; a fresh slot is empty.
+#[derive(Debug, Default)]
+pub struct SlotList {
+    chains: [ListHead; 2],
+}
+
+impl SlotList {
+    /// Creates an empty slot.
+    #[must_use]
+    pub const fn new() -> SlotList {
+        SlotList {
+            chains: [ListHead::new(), ListHead::new()],
+        }
+    }
+
+    /// The chain a node is filed on: the parity of its slab index.
+    fn chain_of(idx: NodeIdx) -> usize {
+        slab_index(idx.0 & 1)
+    }
+
+    /// Returns the number of nodes on both chains.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.chains[0].len() + self.chains[1].len()
+    }
+
+    /// Returns `true` if both chains are empty.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.chains[0].is_empty() && self.chains[1].is_empty()
+    }
+
+    /// Links an unlinked node at the back of the chain its parity names.
+    pub fn push_back<T>(&mut self, arena: &mut TimerArena<T>, idx: NodeIdx) {
+        arena.push_back(&mut self.chains[Self::chain_of(idx)], idx);
+    }
+
+    /// Unlinks a node from the slot, leaving it allocated but free-standing.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if the node is not actually on this slot.
+    pub fn unlink<T>(&mut self, arena: &mut TimerArena<T>, idx: NodeIdx) {
+        arena.unlink(&mut self.chains[Self::chain_of(idx)], idx);
+    }
+
+    /// Unlinks and returns a node from the front of one chain, if any.
+    ///
+    /// The chain is picked by the parity of the slot's length. Each pop
+    /// flips that parity, so consecutive pops alternate between the chains
+    /// while both are non-empty; once one empties, the other drains.
+    pub fn pop_front<T>(&mut self, arena: &mut TimerArena<T>) -> Option<NodeIdx> {
+        // A branch, not a computed chain index: the predicted branch lets
+        // the next pop start before this one's length update has landed.
+        let even_turn = self.len() & 1 == 0;
+        let [even, odd] = &mut self.chains;
+        if odd.is_empty() || (even_turn && !even.is_empty()) {
+            arena.pop_front(even)
+        } else {
+            arena.pop_front(odd)
+        }
+    }
+}
+
 /// A live timer record.
 ///
-/// `deadline`, `aux` and `bucket` are scheme-owned scratch fields:
+/// `deadline`, `aux`, `bucket` and `flag` are scheme-owned scratch fields:
 ///
 /// * `deadline` — the absolute expiry tick (every scheme stores it; the
 ///   precision experiments compare it with the actual firing tick),
 /// * `aux` — scheme-defined: remaining interval (Scheme 1), rounds counter
-///   (Scheme 6), migration count (Scheme 7), …
+///   (Scheme 6), firing target (Scheme 7), …
 /// * `bucket` — which list the node is on (wheel slot, hierarchy level tag),
-///   so `stop_timer` can locate the right [`ListHead`] in O(1).
+///   so `stop_timer` can locate the right [`ListHead`] in O(1),
+/// * `flag` — a scheme-defined bit kept out of `aux`, so `aux` keeps all 64
+///   bits (Scheme 7's `MigrationPolicy::Single` marks a migrated timer).
 #[derive(Debug)]
 pub struct Node<T> {
     /// Client payload delivered on expiry.
@@ -151,6 +231,8 @@ pub struct Node<T> {
     /// the native index domain so slot arithmetic never round-trips through
     /// a narrower integer.
     pub bucket: usize,
+    /// Scheme-defined one-bit mark; `false` on allocation.
+    pub flag: bool,
     next: u32,
     prev: u32,
     linked: bool,
@@ -267,6 +349,7 @@ impl<T> TimerArena<T> {
             deadline,
             aux: 0,
             bucket: 0,
+            flag: false,
             next: NIL,
             prev: NIL,
             linked: false,
@@ -572,6 +655,31 @@ impl<T> TimerArena<T> {
         Ok(seen)
     }
 
+    /// [`check_list`](Self::check_list) for both chains of `slot`, plus the
+    /// parity rule: every node sits on the chain its slab index names.
+    /// Returns the nodes visited, chain 0 first.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first corruption found.
+    pub fn check_slot(&self, slot: &SlotList) -> Result<Vec<NodeIdx>, String> {
+        let mut seen = Vec::with_capacity(slot.len());
+        for (chain, list) in slot.chains.iter().enumerate() {
+            let nodes = self
+                .check_list(list)
+                .map_err(|detail| format!("chain {chain}: {detail}"))?;
+            if let Some(idx) = nodes.iter().find(|&&idx| SlotList::chain_of(idx) != chain) {
+                return Err(format!(
+                    "node {} sits on chain {chain}, its parity names chain {}",
+                    idx.0,
+                    SlotList::chain_of(*idx)
+                ));
+            }
+            seen.extend(nodes);
+        }
+        Ok(seen)
+    }
+
     /// Verifies the slab's internal accounting: the live counter matches the
     /// number of occupied slots, and the free list covers exactly the free
     /// slots without cycling or aliasing an occupied one.
@@ -851,6 +959,83 @@ mod tests {
         assert_eq!(arena.alloc(0, Tick(1)).unwrap_err(), TimerError::Exhausted);
     }
 
+    /// Allocates `n` nodes (slab index = payload = deadline) and files
+    /// the ones `keep` selects on a fresh slot, in index order.
+    fn slot_of(
+        arena: &mut TimerArena<u32>,
+        n: u32,
+        keep: impl Fn(u32) -> bool,
+    ) -> (SlotList, Vec<NodeIdx>) {
+        let mut slot = SlotList::new();
+        let nodes: Vec<NodeIdx> = (0..n)
+            .map(|i| arena.alloc(i, Tick(u64::from(i))).unwrap().0)
+            .collect();
+        for &idx in &nodes {
+            if keep(idx.as_u32()) {
+                slot.push_back(arena, idx);
+            }
+        }
+        (slot, nodes)
+    }
+
+    #[test]
+    fn slot_list_files_each_node_on_its_parity_chain() {
+        let mut arena: TimerArena<u32> = TimerArena::new();
+        let (slot, _) = slot_of(&mut arena, 7, |_| true);
+        assert_eq!(deadlines(&arena, &slot.chains[0]), vec![0, 2, 4, 6]);
+        assert_eq!(deadlines(&arena, &slot.chains[1]), vec![1, 3, 5]);
+        assert_eq!(slot.len(), 7);
+        assert!(!slot.is_empty());
+        assert_eq!(arena.check_slot(&slot).unwrap().len(), 7);
+    }
+
+    #[test]
+    fn slot_list_pop_alternates_then_drains_the_survivor() {
+        let mut arena: TimerArena<u32> = TimerArena::new();
+        // Chain 0 holds 0, 2, 4, 6, 8; chain 1 holds only 1 and 3.
+        let (mut slot, _) = slot_of(&mut arena, 9, |i| i % 2 == 0 || i < 4);
+        let mut order = Vec::new();
+        while let Some(idx) = slot.pop_front(&mut arena) {
+            order.push(arena.node(idx).payload);
+            assert_eq!(slot.len(), 7 - order.len());
+            assert!(!arena.is_linked(idx));
+        }
+        // Alternates while both chains hold nodes, then empties chain 0.
+        assert_eq!(order, vec![1, 0, 3, 2, 4, 6, 8]);
+        assert!(slot.is_empty());
+    }
+
+    #[test]
+    fn slot_list_unlink_from_either_chain_keeps_len() {
+        let mut arena: TimerArena<u32> = TimerArena::new();
+        let (mut slot, nodes) = slot_of(&mut arena, 6, |_| true);
+        slot.unlink(&mut arena, nodes[2]); // chain 0, middle
+        assert_eq!(slot.len(), 5);
+        slot.unlink(&mut arena, nodes[1]); // chain 1, head
+        assert_eq!(slot.len(), 4);
+        slot.unlink(&mut arena, nodes[5]); // chain 1, tail
+        assert_eq!(slot.len(), 3);
+        assert_eq!(deadlines(&arena, &slot.chains[0]), vec![0, 4]);
+        assert_eq!(deadlines(&arena, &slot.chains[1]), vec![3]);
+        assert_eq!(arena.check_slot(&slot).unwrap().len(), 3);
+        slot.unlink(&mut arena, nodes[3]);
+        slot.unlink(&mut arena, nodes[0]);
+        slot.unlink(&mut arena, nodes[4]);
+        assert!(slot.is_empty());
+        assert_eq!(slot.len(), 0);
+    }
+
+    #[test]
+    fn check_slot_reports_a_node_on_the_wrong_chain() {
+        let mut arena: TimerArena<u32> = TimerArena::new();
+        let (mut slot, _) = slot_of(&mut arena, 2, |_| true);
+        let (even, _) = arena.alloc(2, Tick(2)).unwrap();
+        assert_eq!(SlotList::chain_of(even), 0);
+        arena.push_back(&mut slot.chains[1], even);
+        let err = arena.check_slot(&slot).unwrap_err();
+        assert!(err.contains("parity names chain 0"), "{err}");
+    }
+
     #[test]
     fn scratch_fields_are_scheme_writable() {
         let mut arena: TimerArena<u32> = TimerArena::new();
@@ -975,6 +1160,107 @@ mod proptests {
             }
             for old in &stale {
                 prop_assert_eq!(arena.resolve(*old), Err(TimerError::Stale));
+            }
+        }
+    }
+
+    /// Case count for the two-chain slot campaign: `TW_PROPTEST_CASES`
+    /// elevates it in scheduled CI; seeds are fixed per test name.
+    fn env_cases(default: u32) -> u32 {
+        std::env::var("TW_PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(env_cases(64)))]
+
+        /// Two-chain slots behave like a multiset under an arbitrary
+        /// interleaving of operations across 4 slots: every node stays on
+        /// its parity chain, `len` counts both chains, and consecutive pops
+        /// from one slot alternate chains while both are non-empty.
+        #[test]
+        fn slot_lists_match_multiset_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
+            const SLOTS: usize = 4;
+            let mut arena: TimerArena<u64> = TimerArena::new();
+            let mut slots: Vec<SlotList> = (0..SLOTS).map(|_| SlotList::new()).collect();
+            // Per slot: the resident (tag, node) pairs, in no particular order.
+            let mut model: Vec<Vec<(u64, NodeIdx)>> = vec![Vec::new(); SLOTS];
+            // Per slot: the chain of the previous op if it was a pop taken
+            // while both chains were non-empty.
+            let mut last_pop: Vec<Option<usize>> = vec![None; SLOTS];
+            let mut next_tag: u64 = 0;
+
+            for op in ops {
+                let touched: Vec<usize> = match op {
+                    Op::PushFront(l) | Op::PushBack(l) => {
+                        let l = l as usize % SLOTS;
+                        let (idx, _) = arena.alloc(next_tag, Tick(next_tag)).unwrap();
+                        slots[l].push_back(&mut arena, idx);
+                        model[l].push((next_tag, idx));
+                        next_tag += 1;
+                        vec![l]
+                    }
+                    Op::PopFront(l) => {
+                        let l = l as usize % SLOTS;
+                        let both = slots[l].chains.iter().all(|c| !c.is_empty());
+                        let got = slots[l].pop_front(&mut arena);
+                        prop_assert_eq!(got.is_some(), !model[l].is_empty());
+                        if let Some(idx) = got {
+                            let chain = SlotList::chain_of(idx);
+                            if both {
+                                prop_assert!(last_pop[l] != Some(chain), "pop did not alternate");
+                            }
+                            let pos = model[l].iter().position(|&(_, i)| i == idx);
+                            prop_assert!(pos.is_some(), "popped a node the slot never held");
+                            let (tag, _) = model[l].swap_remove(pos.unwrap());
+                            prop_assert_eq!(arena.free(idx), tag);
+                            last_pop[l] = both.then_some(chain);
+                        }
+                        Vec::new()
+                    }
+                    Op::UnlinkAt(l, pos) => {
+                        let l = l as usize % SLOTS;
+                        if !model[l].is_empty() {
+                            let pos = pos as usize % model[l].len();
+                            let (tag, idx) = model[l].swap_remove(pos);
+                            slots[l].unlink(&mut arena, idx);
+                            prop_assert_eq!(arena.free(idx), tag);
+                        }
+                        vec![l]
+                    }
+                    Op::MoveBetween(a, b) => {
+                        let a = a as usize % SLOTS;
+                        let b = b as usize % SLOTS;
+                        if a != b && !model[a].is_empty() {
+                            let idx = slots[a].pop_front(&mut arena).unwrap();
+                            slots[b].push_back(&mut arena, idx);
+                            let pos = model[a].iter().position(|&(_, i)| i == idx).unwrap();
+                            let entry = model[a].swap_remove(pos);
+                            model[b].push(entry);
+                        }
+                        vec![a, b]
+                    }
+                };
+                for l in touched {
+                    last_pop[l] = None;
+                }
+                // Full-state comparison after every op.
+                for l in 0..SLOTS {
+                    let nodes = arena.check_slot(&slots[l]);
+                    prop_assert!(nodes.is_ok(), "slot {}: {:?}", l, nodes);
+                    let mut got: Vec<u64> =
+                        nodes.unwrap().iter().map(|&i| arena.node(i).payload).collect();
+                    let mut expect: Vec<u64> = model[l].iter().map(|&(tag, _)| tag).collect();
+                    got.sort_unstable();
+                    expect.sort_unstable();
+                    prop_assert_eq!(got, expect);
+                    prop_assert_eq!(slots[l].len(), model[l].len());
+                    prop_assert_eq!(slots[l].is_empty(), model[l].is_empty());
+                }
+                let total: usize = model.iter().map(Vec::len).sum();
+                prop_assert_eq!(arena.len(), total);
             }
         }
     }

@@ -144,6 +144,27 @@ impl<T> TimerScheme<T> for OracleScheme<T> {
         }
     }
 
+    fn advance_to_with(&mut self, deadline: Tick, expired: &mut dyn FnMut(Expired<T>)) {
+        // Event-driven: jump to the tick before the earliest deadline key and
+        // take one real tick there, so the oracle can follow a wheel's
+        // jumping advance anywhere in the tick domain, `Tick::MAX` included.
+        // tw-analyze: fact(loop_bounded, reason = "each round fires the whole bucket of the earliest deadline key or returns at the target, so rounds <= distinct expired deadlines + 1")
+        while self.now < deadline {
+            match self.by_deadline.keys().next() {
+                Some(&due) if due <= deadline => {
+                    let gap = due.since(self.now).as_u64() - 1;
+                    self.counters.ticks += gap;
+                    self.now = Tick(self.now.as_u64() + gap);
+                    self.tick(expired);
+                }
+                _ => {
+                    self.counters.ticks += deadline.since(self.now).as_u64();
+                    self.now = deadline;
+                }
+            }
+        }
+    }
+
     fn now(&self) -> Tick {
         self.now
     }

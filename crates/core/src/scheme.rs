@@ -107,7 +107,8 @@ pub trait TimerScheme<T> {
 
     /// `PER_TICK_BOOKKEEPING` (§2): advances the clock by one tick and
     /// delivers every timer expiring at the new time to `expired`
-    /// (`EXPIRY_PROCESSING`).
+    /// (`EXPIRY_PROCESSING`). Timers due on the same tick come in no
+    /// specified order.
     fn tick(&mut self, expired: &mut dyn FnMut(Expired<T>));
 
     /// Batched `PER_TICK_BOOKKEEPING`: advances the clock to `deadline`

@@ -34,7 +34,7 @@
 
 use alloc::vec::Vec;
 
-use crate::arena::{ListHead, NodeIdx, TimerArena};
+use crate::arena::{ListHead, NodeIdx, SlotList, TimerArena};
 use crate::bitmap::SlotBitmap;
 use crate::counters::{OpCounters, VaxCostModel};
 use crate::handle::TimerHandle;
@@ -45,10 +45,6 @@ use crate::TimerError;
 
 /// Bucket tag for timers parked on the overflow list.
 const OVERFLOW_BUCKET: usize = usize::MAX;
-
-/// Flag bit (in `Node::aux`) marking a timer that has used its one allowed
-/// migration under [`MigrationPolicy::Single`].
-const MIGRATED_FLAG: u64 = 1 << 63;
 
 /// Where a new timer is inserted into the hierarchy. See the
 /// [module docs](self).
@@ -64,7 +60,9 @@ pub enum InsertRule {
 }
 
 struct Level {
-    slots: Vec<ListHead>,
+    /// Unordered two-chain slots: a cascade drains a slot with two pointer
+    /// chases in flight (see [`SlotList`]).
+    slots: Vec<SlotList>,
     /// Two-tier slot-occupancy bitmap for this level (zero-sized no-op
     /// without the `bitmap-cursor` feature); bit set ⇔ slot list non-empty.
     occupancy: SlotBitmap,
@@ -133,7 +131,7 @@ impl<T> HierarchicalWheel<T> {
         let mut granularity = 1u64;
         let mut base = 0usize;
         for &size in &sizes.0 {
-            let slots: Vec<ListHead> = (0..size).map(|_| ListHead::new()).collect();
+            let slots: Vec<SlotList> = (0..size).map(|_| SlotList::new()).collect();
             levels.push(Level {
                 occupancy: SlotBitmap::new(slots.len()),
                 slots,
@@ -263,7 +261,8 @@ impl<T> HierarchicalWheel<T> {
     }
 
     /// Links an allocated node into the wheel for firing target `target`
-    /// (stored in `aux` alongside any migration flag already present).
+    /// (stored in `aux`; the `Single` policy's migration mark lives in
+    /// `Node::flag`, so all 64 bits of the target survive).
     fn place(&mut self, idx: NodeIdx, target: u64) {
         let level = self.pick_level(target);
         let l = &self.levels[level];
@@ -271,19 +270,19 @@ impl<T> HierarchicalWheel<T> {
         let bucket = l.base + slot;
         {
             let node = self.arena.node_mut(idx);
-            node.aux = (node.aux & MIGRATED_FLAG) | target;
+            node.aux = target;
             node.bucket = bucket;
         }
-        self.arena
-            .push_back(&mut self.levels[level].slots[slot], idx);
+        self.levels[level].slots[slot].push_back(&mut self.arena, idx);
         let ops = self.levels[level].occupancy.set(slot);
         self.counters.charge_bitmap(ops);
     }
 
     /// Rounds `t` to the nearest multiple of `g` (ties round up) — the
-    /// Nichols "round off to the nearest hour" step.
+    /// Nichols "round off to the nearest hour" step. Near `u64::MAX`, where
+    /// the next multiple up is not representable, it rounds down.
     fn round_nearest(t: u64, g: u64) -> u64 {
-        ((t + g / 2) / g) * g
+        t.checked_add(g / 2).unwrap_or(t) / g * g
     }
 
     /// Fires a node that has been unlinked from its slot.
@@ -320,11 +319,11 @@ impl<T> HierarchicalWheel<T> {
         // into this very slot re-sets the bit through `place`.
         let ops = self.levels[level].occupancy.clear(slot);
         self.counters.charge_bitmap(ops);
-        while let Some(idx) = self.arena.pop_front(&mut detached) {
+        while let Some(idx) = detached.pop_front(&mut self.arena) {
             self.counters.decrements += 1;
             self.counters.vax_instructions += self.cost.decrement_step;
-            let aux = self.arena.node(idx).aux;
-            let target = aux & !MIGRATED_FLAG;
+            let node = self.arena.node(idx);
+            let (target, migrated) = (node.aux, node.flag);
             debug_assert!(target >= now, "scheme 7 missed a firing target");
             if target == now {
                 self.fire(idx, expired);
@@ -346,7 +345,7 @@ impl<T> HierarchicalWheel<T> {
                     self.place(idx, target);
                 }
                 MigrationPolicy::Single => {
-                    if aux & MIGRATED_FLAG != 0 || level == 0 {
+                    if migrated || level == 0 {
                         // Already migrated (or finest level): wait in place
                         // for the target revolution.
                         self.place(idx, target);
@@ -355,7 +354,7 @@ impl<T> HierarchicalWheel<T> {
                         // the target to that level's granularity.
                         let g = self.levels[level - 1].granularity;
                         let rounded = Self::round_nearest(target, g).max(now + 1);
-                        self.arena.node_mut(idx).aux = MIGRATED_FLAG | target;
+                        self.arena.node_mut(idx).flag = true;
                         self.counters.migrations += 1;
                         self.counters.vax_instructions += self.cost.insert;
                         self.place(idx, rounded);
@@ -372,7 +371,7 @@ impl<T> HierarchicalWheel<T> {
         // tw-analyze: fact(loop_bounded, reason = "walks the overflow list once per top-level revolution; the amortized section 6.2 cascade argument charges each resident one move per level, and the revolution period divides the walk across range ticks")
         while let Some(idx) = cur {
             cur = self.arena.next(idx);
-            let target = self.arena.node(idx).aux & !MIGRATED_FLAG;
+            let target = self.arena.node(idx).aux;
             debug_assert!(target > now, "overflowed timer already due");
             if target - now < self.range {
                 self.arena.unlink(&mut self.overflow, idx);
@@ -451,7 +450,7 @@ impl<T> TimerScheme<T> for HierarchicalWheel<T> {
             let level = self.level_of_bucket(bucket);
             // tw-analyze: fact(slot_bounded, reason = "bucket tags are only written by the insert paths from modular placement, and level_of_bucket proves base <= bucket < base + size, so the difference is a valid in-level slot")
             let slot = bucket - self.levels[level].base;
-            self.arena.unlink(&mut self.levels[level].slots[slot], idx);
+            self.levels[level].slots[slot].unlink(&mut self.arena, idx);
             if self.levels[level].slots[slot].is_empty() {
                 let ops = self.levels[level].occupancy.clear(slot);
                 self.counters.charge_bitmap(ops);
@@ -495,13 +494,19 @@ impl<T> TimerScheme<T> for HierarchicalWheel<T> {
             let level = self.level_of_bucket(bucket);
             // tw-analyze: fact(slot_bounded, reason = "bucket tags are only written by the insert paths from modular placement, and level_of_bucket proves base <= bucket < base + size, so the difference is a valid in-level slot")
             let slot = bucket - self.levels[level].base;
-            self.arena.unlink(&mut self.levels[level].slots[slot], idx);
+            self.levels[level].slots[slot].unlink(&mut self.arena, idx);
             if self.levels[level].slots[slot].is_empty() {
                 let ops = self.levels[level].occupancy.clear(slot);
                 self.counters.charge_bitmap(ops);
             }
         }
-        self.arena.node_mut(idx).deadline = deadline;
+        {
+            // A restart behaves like a fresh start, so the one-migration
+            // budget of `MigrationPolicy::Single` is granted anew.
+            let node = self.arena.node_mut(idx);
+            node.deadline = deadline;
+            node.flag = false;
+        }
         self.counters.restarts += 1;
         // Modeled as one §7 delete followed by one insert, matching the
         // unlink+relink the update actually performs.
@@ -521,10 +526,6 @@ impl<T> TimerScheme<T> for HierarchicalWheel<T> {
                 Self::round_nearest(deadline.as_u64(), g).max(self.now.as_u64() + 1)
             }
         };
-        // A restart behaves like a fresh start, so the one-migration budget
-        // of `MigrationPolicy::Single` is granted anew: clear the flag
-        // before `place` (which preserves whatever flag bit is present).
-        self.arena.node_mut(idx).aux = 0;
         self.place(idx, target);
         Ok(())
     }
@@ -632,8 +633,9 @@ impl<T> crate::validate::InvariantCheck for HierarchicalWheel<T> {
     /// level geometry, per-level slot congruence
     /// (`slot = (target / granularity) mod size`), strictly-future firing
     /// targets, the migration flag only under `MigrationPolicy::Single`,
-    /// `target == deadline` under full migration, intact lists, and node
-    /// count equal to `outstanding`.
+    /// `target == deadline` under full migration, intact lists with every
+    /// slot node on the chain its index parity names, and node count equal
+    /// to `outstanding`.
     fn check_invariants(&self) -> Result<(), crate::validate::InvariantViolation> {
         use crate::validate::InvariantViolation;
         let scheme = self.name();
@@ -662,7 +664,7 @@ impl<T> crate::validate::InvariantCheck for HierarchicalWheel<T> {
         let mut linked = 0usize;
         for (i, level) in self.levels.iter().enumerate() {
             for (slot, list) in level.slots.iter().enumerate() {
-                let nodes = match self.arena.check_list(list) {
+                let nodes = match self.arena.check_slot(list) {
                     Ok(nodes) => nodes,
                     Err(detail) => return fail(alloc::format!("level {i} slot {slot}: {detail}")),
                 };
@@ -677,10 +679,8 @@ impl<T> crate::validate::InvariantCheck for HierarchicalWheel<T> {
                 }
                 for idx in nodes {
                     let node = self.arena.node(idx);
-                    let target = node.aux & !MIGRATED_FLAG;
-                    if node.aux & MIGRATED_FLAG != 0
-                        && self.migration_policy != MigrationPolicy::Single
-                    {
+                    let target = node.aux;
+                    if node.flag && self.migration_policy != MigrationPolicy::Single {
                         return fail(alloc::format!(
                             "migration flag set under {:?}",
                             self.migration_policy
@@ -728,10 +728,10 @@ impl<T> crate::validate::InvariantCheck for HierarchicalWheel<T> {
                     node.bucket
                 ));
             }
-            if node.aux & !MIGRATED_FLAG != node.deadline.as_u64() {
+            if node.aux != node.deadline.as_u64() {
                 return fail(alloc::format!(
                     "overflow target {} != deadline {}",
-                    node.aux & !MIGRATED_FLAG,
+                    node.aux,
                     node.deadline.as_u64()
                 ));
             }

@@ -457,7 +457,7 @@ impl<T> crate::validate::InvariantCheck for LawnWheel<T> {
                         node.aux
                     ));
                 }
-                if deadline <= now || deadline > now + ttl {
+                if deadline <= now || deadline - now > ttl {
                     return fail(alloc::format!(
                         "bucket {b}: deadline {deadline} outside (now {now}, now + {ttl}]"
                     ));
