@@ -18,13 +18,23 @@
 //! packed slot handle, [`slot_to_request`](crate::slots::slot_to_request))
 //! to its waker, frees the slot and collects the waker into a reused
 //! per-thread buffer, all in one critical section; the batch is woken
-//! after the lock is released. Wheel-side events flow through the
-//! [`Observed`] wrapper around the scheme; the driver adds
-//! [`Observer::on_wake_latency`], the deadline→delivery distance in ticks
-//! of each wake: the advance's target tick minus the timer's deadline. It
-//! is 0 for an exact scheme advanced one tick at a time, grows with the
-//! batch of a longer `advance`, and includes a reduced-precision
-//! hierarchy's §6.2 lateness.
+//! after the lock is released.
+//!
+//! The driver raises the observer's hooks itself, in the same critical
+//! sections, on a bare scheme: no [`Observed`](tw_core::Observed) layer
+//! sits under the sweep, because that layer would add a second callback
+//! per fire. Arm, reset and release raise `on_start`, `on_restart` and
+//! `on_stop` on success, with the arguments `Observed` would pass. Each
+//! advance is one `on_tick_begin`/`on_tick_end` window, inside which the
+//! sweep's own expiry callback reports [`Observer::on_fires`] and
+//! [`Observer::on_wake_latency`], each coalesced into one call per run of
+//! equal values ([`Runs`](tw_core::observe::Runs)). The wake latency is
+//! the deadline→delivery distance in ticks of each wake: the advance's
+//! target tick minus the timer's deadline. It is 0 for an exact scheme
+//! advanced one tick at a time, grows with the batch of a longer
+//! `advance`, and includes a reduced-precision hierarchy's §6.2 lateness.
+//! An exact scheme advanced one tick at a time therefore makes one call
+//! of each per-fire hook per tick, however many sleeps fire.
 //!
 //! # Backpressure
 //!
@@ -44,7 +54,7 @@ use std::task::Waker;
 use std::time::Duration;
 
 use tw_concurrent::sync::Mutex;
-use tw_core::{Observed, Observer, RequestId, TickDelta, TimerError, TimerHandle, TimerScheme};
+use tw_core::{Observer, RequestId, TickDelta, TimerError, TimerHandle, TimerScheme};
 
 use crate::interval::Interval;
 use crate::sleep::Sleep;
@@ -112,10 +122,9 @@ where
         self
     }
 
-    /// Installs `observer` on both layers: the [`Observed`] wrapper
-    /// raises the scheme hooks, the driver raises
-    /// [`Observer::on_wake_latency`] per delivered wake (see the module
-    /// docs).
+    /// Installs `observer`, which then receives the scheme hooks of every
+    /// sleep routine and [`Observer::on_wake_latency`] for delivered wakes
+    /// (see the module docs).
     #[must_use]
     pub fn observer(mut self, observer: Arc<dyn Observer + Send + Sync>) -> Self {
         self.observer = Some(observer);
@@ -137,11 +146,12 @@ where
     pub fn build(self) -> TimerDriver {
         // Only the boxing is generic, so each scheme type adds no more
         // than its vtable; the rest is `TimerDriver::start`.
-        let timers: Box<dyn TimerScheme<RequestId> + Send> = match &self.observer {
-            Some(o) => Box::new(Observed::new(self.scheme, Arc::clone(o))),
-            None => Box::new(self.scheme),
-        };
-        TimerDriver::start(timers, self.period, self.observer, self.arena_capacity)
+        TimerDriver::start(
+            Box::new(self.scheme),
+            self.period,
+            self.observer,
+            self.arena_capacity,
+        )
     }
 }
 

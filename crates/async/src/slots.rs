@@ -40,6 +40,7 @@
 use std::sync::Arc;
 use std::task::Waker;
 
+use tw_core::observe::{firing_error, Runs};
 use tw_core::{Observer, RequestId, Tick, TickDelta, TimerError, TimerHandle, TimerScheme};
 
 /// Low 32 bits of a packed [`RequestId`].
@@ -250,9 +251,15 @@ pub enum ArmOutcome {
 }
 
 /// Everything behind the driver's one lock: the scheme, the waker slab,
-/// and the wakers of sleeps parked on exhaustion. Each method is one
-/// routine of a sleep, run in one critical section; wakers to invoke are
-/// handed back to the caller, who wakes them after releasing the lock.
+/// the wakers of sleeps parked on exhaustion, and the observer. Each
+/// method is one routine of a sleep, run in one critical section; wakers
+/// to invoke are handed back to the caller, who wakes them after
+/// releasing the lock.
+///
+/// The scheme is bare: `Wheel` raises the observer's scheme hooks itself,
+/// with the arguments [`Observed`](tw_core::Observed) would pass, so a
+/// fire is observed inside the sweep's own expiry callback rather than
+/// through a second callback layer.
 pub struct Wheel<W> {
     timers: Box<dyn TimerScheme<RequestId> + Send>,
     slots: WakerSlab<W>,
@@ -262,8 +269,9 @@ pub struct Wheel<W> {
 
 impl<W> Wheel<W> {
     /// Wraps `timers`, capping both its arena and the slab at `capacity`
-    /// live entries when given. `observer` receives
-    /// [`Observer::on_wake_latency`] per delivered wake.
+    /// live entries when given. `observer` receives the scheme hooks of
+    /// every routine and [`Observer::on_wake_latency`] for delivered
+    /// wakes.
     #[must_use]
     pub fn new(
         mut timers: Box<dyn TimerScheme<RequestId> + Send>,
@@ -301,7 +309,12 @@ impl<W> Wheel<W> {
             }
         };
         match self.timers.start_timer(interval, slot_to_request(slot)) {
-            Ok(timer) => Ok(ArmOutcome::Armed { slot, timer }),
+            Ok(timer) => {
+                if let Some(observer) = &self.observer {
+                    observer.on_start(self.timers.now(), interval);
+                }
+                Ok(ArmOutcome::Armed { slot, timer })
+            }
             Err(err) => {
                 let waker = self.slots.take_for_fire(slot);
                 if err != TimerError::Exhausted {
@@ -328,7 +341,11 @@ impl<W> Wheel<W> {
     /// sweep freed the slot too; otherwise the scheme's interval errors,
     /// with the timer left armed as it was.
     pub fn restart(&mut self, timer: TimerHandle, interval: TickDelta) -> Result<(), TimerError> {
-        self.timers.restart_timer(timer, interval)
+        self.timers.restart_timer(timer, interval)?;
+        if let Some(observer) = &self.observer {
+            observer.on_restart(self.timers.now(), interval);
+        }
+        Ok(())
     }
 
     /// `STOP_TIMER` plus slot free: the drop path. Returns whether the
@@ -336,7 +353,11 @@ impl<W> Wheel<W> {
     /// wakers move to `woken`. Both handles stale (the timer fired) is a
     /// no-op.
     pub fn release(&mut self, timer: TimerHandle, slot: TimerHandle, woken: &mut Vec<W>) -> bool {
-        let _ = self.timers.stop_timer(timer);
+        if self.timers.stop_timer(timer).is_ok() {
+            if let Some(observer) = &self.observer {
+                observer.on_stop(self.timers.now());
+            }
+        }
         let freed = self.slots.take_for_fire(slot).is_some();
         if freed {
             woken.append(&mut self.parked);
@@ -349,9 +370,13 @@ impl<W> Wheel<W> {
     /// was released the parked wakers follow. Returns the number of timers
     /// the wheel fired.
     ///
-    /// The deadline→delivery distance, `target − deadline` in ticks where
-    /// `target` is the tick this sweep advances to, is reported per wake
-    /// as [`Observer::on_wake_latency`].
+    /// The sweep is one observer window
+    /// ([`on_tick_begin`](Observer::on_tick_begin) to
+    /// [`on_tick_end`](Observer::on_tick_end)). Within it, each fire's
+    /// firing error goes to [`Observer::on_fires`], and each wake's
+    /// deadline→delivery distance (`target − deadline` in ticks, where
+    /// `target` is the tick this sweep advances to) to
+    /// [`Observer::on_wake_latency`], each in [`Runs`] of equal values.
     pub fn sweep(&mut self, ticks: u64, woken: &mut Vec<W>) -> u64 {
         let Wheel {
             timers,
@@ -359,25 +384,49 @@ impl<W> Wheel<W> {
             parked,
             observer,
         } = self;
-        let target = Tick(timers.now().as_u64().saturating_add(ticks));
+        let observer = observer.as_deref();
+        let now = timers.now();
+        if let Some(observer) = observer {
+            observer.on_tick_begin(now);
+        }
+        let target = Tick(now.as_u64().saturating_add(ticks));
         let before = woken.len();
-        let mut fired = 0;
+        let mut fired = 0usize;
+        let mut errors = Runs::default();
+        let mut latencies = Runs::default();
         timers.advance_to_with(target, &mut |expiry| {
             fired += 1;
+            if let Some(observer) = observer {
+                let error = firing_error(expiry.deadline, expiry.fired_at);
+                if let Some((error, n)) = errors.tally(error) {
+                    observer.on_fires(error, n);
+                }
+            }
             if let Some(waker) = slots.take_for_fire(request_to_slot(expiry.payload)) {
-                if let Some(obs) = observer {
+                if let Some(observer) = observer {
                     let late = target
                         .checked_since(expiry.deadline)
                         .unwrap_or(TickDelta::ZERO);
-                    obs.on_wake_latency(late);
+                    if let Some((late, n)) = latencies.tally(late) {
+                        observer.on_wake_latency(late, n);
+                    }
                 }
                 woken.push(waker);
             }
         });
+        if let Some(observer) = observer {
+            if let Some((error, n)) = errors.flush() {
+                observer.on_fires(error, n);
+            }
+            if let Some((late, n)) = latencies.flush() {
+                observer.on_wake_latency(late, n);
+            }
+            observer.on_tick_end(timers.now(), fired);
+        }
         if woken.len() > before {
             woken.append(parked);
         }
-        fired
+        u64::try_from(fired).unwrap_or(u64::MAX)
     }
 
     /// Outstanding timers in the scheme.

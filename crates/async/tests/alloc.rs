@@ -1,9 +1,10 @@
 //! Counted proofs about the sleep path's heap use, from a counting global
 //! allocator that tallies the test thread's allocations and live bytes:
 //! the hot path allocates nothing across 10k arm/reset/drop/advance cycles
-//! of a warmed-up virtual-time driver, and an armed sleep costs the bare
-//! scheme's bytes plus one waker-slab entry. Counting is per thread, so
-//! the test harness's own threads never reach the tally.
+//! of a warmed-up virtual-time driver, with an empty observer or with
+//! `ServiceTelemetry` attached, and an armed sleep costs the bare scheme's
+//! bytes plus one waker-slab entry. Counting is per thread, so the test
+//! harness's own threads never reach the tally.
 
 #![cfg(not(loom))]
 
@@ -19,6 +20,7 @@ use tw_async::slots::Entry;
 use tw_async::{Sleep, TimerDriver};
 use tw_core::wheel::HashedWheelUnsorted;
 use tw_core::{Observer, RequestId, TickDelta, TimerScheme};
+use tw_obs::ServiceTelemetry;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -63,8 +65,8 @@ impl Wake for Task {
     }
 }
 
-/// Every hook left at its default: the driver still runs its `Observed`
-/// wrapper and its wake-latency hook.
+/// Every hook left at its default: the driver still raises every hook
+/// and runs the per-fire run coalescing, into empty bodies.
 struct Silent;
 
 impl Observer for Silent {}
@@ -75,8 +77,21 @@ fn poll(sleep: &mut Sleep, waker: &Waker) -> Poll<()> {
 
 #[test]
 fn warm_sleep_cycles_allocate_nothing() {
+    warm_cycles_allocate_nothing(Arc::new(Silent));
+}
+
+#[test]
+fn warm_sleep_cycles_allocate_nothing_with_telemetry() {
+    let tele = Arc::new(ServiceTelemetry::new());
+    warm_cycles_allocate_nothing(Arc::clone(&tele) as Arc<dyn Observer + Send + Sync>);
+    assert_eq!(tele.scheme.fires.get(), 10_100);
+    assert_eq!(tele.wake_latency.count(), 10_100);
+    assert_eq!(tele.scheme.restarts.get(), 10_100);
+}
+
+fn warm_cycles_allocate_nothing(observer: Arc<dyn Observer + Send + Sync>) {
     let driver = TimerDriver::builder(HashedWheelUnsorted::<RequestId>::new(256))
-        .observer(Arc::new(Silent))
+        .observer(observer)
         .build();
     let task = Arc::new(Task(AtomicU64::new(0)));
     let waker = Waker::from(Arc::clone(&task));

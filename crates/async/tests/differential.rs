@@ -85,8 +85,8 @@ impl Observer for Hooks {
     fn on_restart(&self, _now: Tick, _interval: TickDelta) {
         self.restarts.fetch_add(1, Ordering::Relaxed);
     }
-    fn on_wake_latency(&self, _elapsed: TickDelta) {
-        self.wakes.fetch_add(1, Ordering::Relaxed);
+    fn on_wake_latency(&self, _elapsed: TickDelta, count: usize) {
+        self.wakes.fetch_add(count as u64, Ordering::Relaxed);
     }
 }
 

@@ -22,8 +22,9 @@ use tw_core::{Observer, RequestId, TickDelta, TimerScheme};
 struct Recorder(Mutex<Vec<u64>>);
 
 impl Observer for Recorder {
-    fn on_wake_latency(&self, elapsed: TickDelta) {
-        self.0.lock().unwrap().push(elapsed.as_u64());
+    fn on_wake_latency(&self, elapsed: TickDelta, count: usize) {
+        let mut v = self.0.lock().unwrap();
+        v.extend(std::iter::repeat(elapsed.as_u64()).take(count));
     }
 }
 

@@ -25,6 +25,7 @@
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex, MutexGuard};
 use tw_core::arena::{ListHead, TimerArena};
+use tw_core::observe::{firing_error, Runs};
 use tw_core::time::ticks_of;
 use tw_core::{Expired, NoopObserver, Observer, Tick, TickDelta, TimerError, TimerHandle};
 
@@ -497,6 +498,7 @@ impl<T, O: Observer> ShardedWheel<T, O> {
         self.shared.observer.on_tick_begin(Tick(t - 1));
         let slot = Tick(t).slot_in(self.shared.buckets.len());
         let mut count = 0usize;
+        let mut errors = Runs::default();
         {
             let mut bucket = self.lock_shard(slot);
             let mut list = std::mem::take(&mut bucket.list);
@@ -512,7 +514,9 @@ impl<T, O: Observer> ShardedWheel<T, O> {
                     debug_assert_eq!(deadline.as_u64(), t, "sharded wheel rounds invariant");
                     let payload = bucket.arena.free(idx);
                     count += 1;
-                    self.shared.observer.on_fire(deadline, Tick(t));
+                    if let Some((error, n)) = errors.tally(firing_error(deadline, Tick(t))) {
+                        self.shared.observer.on_fires(error, n);
+                    }
                     // tw-analyze: allow(TW004, reason = "appends to the caller-owned reusable buffer that is the point of tick_into; the buffer amortizes to zero allocations across ticks")
                     out.push(Expired {
                         handle,
@@ -528,6 +532,9 @@ impl<T, O: Observer> ShardedWheel<T, O> {
             bucket.processed_until = t;
         }
         self.shared.outstanding.fetch_sub(count, Ordering::Relaxed);
+        if let Some((error, n)) = errors.flush() {
+            self.shared.observer.on_fires(error, n);
+        }
         self.shared.observer.on_tick_end(Tick(t), count);
         count
     }
@@ -567,6 +574,7 @@ impl<T, O: Observer> ShardedWheel<T, O> {
         let n = ticks_of(self.shared.buckets.len());
         let start = out.len();
         let mut count = 0usize;
+        let mut errors = Runs::default();
         for slot in 0..self.shared.buckets.len() {
             let mut bucket = self.lock_shard(slot);
             let mut list = std::mem::take(&mut bucket.list);
@@ -580,7 +588,9 @@ impl<T, O: Observer> ShardedWheel<T, O> {
                     let deadline = bucket.arena.node(idx).deadline;
                     let payload = bucket.arena.free(idx);
                     count += 1;
-                    self.shared.observer.on_fire(deadline, Tick(d));
+                    if let Some((error, n)) = errors.tally(firing_error(deadline, Tick(d))) {
+                        self.shared.observer.on_fires(error, n);
+                    }
                     // tw-analyze: allow(TW004, reason = "appends to the caller-owned reusable buffer that is the point of advance_into; one bucket sweep replaces a lock acquisition per elapsed tick")
                     out.push(Expired {
                         handle,
@@ -609,6 +619,9 @@ impl<T, O: Observer> ShardedWheel<T, O> {
         }
         self.shared.outstanding.fetch_sub(count, Ordering::Relaxed);
         out[start..].sort_unstable_by_key(|e| e.deadline.as_u64());
+        if let Some((error, n)) = errors.flush() {
+            self.shared.observer.on_fires(error, n);
+        }
         self.shared.observer.on_tick_end(Tick(t), count);
         count
     }

@@ -1,4 +1,4 @@
-//! Zero-cost observer hooks for every timer scheme.
+//! Observer hooks for every timer scheme, free when unused.
 //!
 //! The §7 evaluation counts what the timer module does per operation
 //! ([`OpCounters`] reproduces the VAX instruction
@@ -20,7 +20,22 @@
 //!   modifying the scheme itself. The wheels' hot paths stay hook-free;
 //!   observation is a wrapper you opt into, which is what keeps the §7
 //!   instruction ratios and the bitmap-cursor benches identical with the
-//!   layer compiled in.
+//!   layer compiled in. The wrapper does add a closure layer per fire,
+//!   even with empty hooks, so a caller that already routes expiries
+//!   through a callback of its own raises the hooks there instead.
+//! * [`Runs`] — coalesces a window's per-fire values into one
+//!   `(value, count)` report per run of equal values, so the per-fire
+//!   hooks ([`on_fires`](Observer::on_fires),
+//!   [`on_wake_latency`](Observer::on_wake_latency)) cost one call per
+//!   run rather than one per fire. An exact scheme advanced one tick at a
+//!   time reports each tick's fires as a single run.
+//!
+//! Three layers raise the hooks. [`Observed`] wraps any scheme, and the
+//! `tw-concurrent` timer service runs its scheme inside one, adding the
+//! service hooks. `tw-concurrent`'s sharded wheel raises the scheme and
+//! lock hooks inside its own sweeps. `tw-async`'s driver raises them from
+//! inside its own critical sections, with no `Observed` layer under its
+//! sweep, and adds the wake latency.
 //!
 //! Hooks take `&self` so one observer can be shared — across the client
 //! and ticker threads of `tw-concurrent`'s sharded wheel, or behind an
@@ -41,11 +56,18 @@ use crate::{TimerError, TimerHandle};
 /// be cheap and **allocation-free** when reachable from the per-tick path
 /// (enforced by the TW008 lint) and must not call back into the scheme.
 ///
-/// The first six hooks are raised by [`Observed`] around the §2 routines
-/// (plus the UPDATE extension);
-/// the service-level hooks (`on_lock`, `on_queue_depth`, `on_batch`,
-/// `on_command_latency`) are raised by `tw-concurrent`'s sharded wheel and
-/// timer service.
+/// The first six hooks are raised around the §2 routines (plus the UPDATE
+/// extension) by [`Observed`], by `tw-concurrent`'s sharded wheel, and by
+/// `tw-async`'s driver, each with the same arguments. The service-level
+/// hooks (`on_lock`, `on_queue_depth`, `on_batch`, `on_command_latency`)
+/// are raised by `tw-concurrent`'s sharded wheel and timer service, and
+/// [`on_wake_latency`](Observer::on_wake_latency) by the `tw-async`
+/// driver alone.
+///
+/// The two per-fire hooks take a `count`: each call reports `count` fires
+/// that share one value, and a raiser coalesces consecutive equal values
+/// into one call with [`Runs`]. A recorder must treat `(v, n)` exactly as
+/// `n` calls of `(v, 1)`.
 pub trait Observer {
     /// `START_TIMER` succeeded: a timer now expires `interval` after `now`.
     fn on_start(&self, now: Tick, interval: TickDelta) {
@@ -65,11 +87,13 @@ pub trait Observer {
         let _ = (now, interval);
     }
 
-    /// `EXPIRY_PROCESSING`: a timer scheduled for `deadline` fired at
-    /// `fired_at` (equal for exact schemes; the difference is the §6.2
-    /// firing error for reduced-precision hierarchies).
-    fn on_fire(&self, deadline: Tick, fired_at: Tick) {
-        let _ = (deadline, fired_at);
+    /// `EXPIRY_PROCESSING`: `count` timers fired, each with firing error
+    /// `error` = `|fired_at − deadline|` in ticks ([`firing_error`]). The
+    /// error is 0 for exact schemes and the §6.2 firing error for
+    /// reduced-precision hierarchies. Raised inside the tick window, before
+    /// its [`on_tick_end`](Observer::on_tick_end).
+    fn on_fires(&self, error: TickDelta, count: usize) {
+        let _ = (error, count);
     }
 
     /// A `PER_TICK_BOOKKEEPING` window is opening with the clock at `now`.
@@ -109,14 +133,14 @@ pub trait Observer {
         let _ = elapsed;
     }
 
-    /// Deadline→delivery latency of the async layer, in ticks: the tick
-    /// the `tw-async` driver's `advance` delivered a sleep's wake at (the
-    /// advance's target), minus the timer's deadline. It reads 0 for an
-    /// exact scheme advanced one tick at a time; a batched advance adds
-    /// its overshoot, and a reduced-precision hierarchy its §6.2 lateness
-    /// (an early fire reads 0).
-    fn on_wake_latency(&self, elapsed: TickDelta) {
-        let _ = elapsed;
+    /// Deadline→delivery latency of the async layer, in ticks, shared by
+    /// `count` wakes: the tick the `tw-async` driver's `advance` delivered
+    /// each sleep's wake at (the advance's target), minus the timer's
+    /// deadline. It reads 0 for an exact scheme advanced one tick at a
+    /// time; a batched advance adds its overshoot, and a reduced-precision
+    /// hierarchy its §6.2 lateness (an early fire reads 0).
+    fn on_wake_latency(&self, elapsed: TickDelta, count: usize) {
+        let _ = (elapsed, count);
     }
 }
 
@@ -126,6 +150,63 @@ pub trait Observer {
 pub struct NoopObserver;
 
 impl Observer for NoopObserver {}
+
+/// Firing error `|fired_at − deadline|` in ticks: the value
+/// [`Observer::on_fires`] reports.
+#[inline]
+#[must_use]
+pub fn firing_error(deadline: Tick, fired_at: Tick) -> TickDelta {
+    TickDelta(fired_at.as_u64().abs_diff(deadline.as_u64()))
+}
+
+/// Run-length coalescing of one per-fire value over a tick window.
+///
+/// [`tally`](Runs::tally) each fire's value; it hands back the run the value
+/// ended, if it differs from the run so far. [`flush`](Runs::flush) at the
+/// end of the window hands back the open run. Reporting each returned
+/// `(value, count)` in one hook call gives a recorder exactly what one call
+/// per fire would, at one call per run.
+///
+/// ```
+/// use tw_core::observe::Runs;
+/// use tw_core::TickDelta;
+///
+/// let mut runs = Runs::default();
+/// assert_eq!(runs.tally(TickDelta(0)), None);
+/// assert_eq!(runs.tally(TickDelta(0)), None);
+/// assert_eq!(runs.tally(TickDelta(3)), Some((TickDelta(0), 2)));
+/// assert_eq!(runs.flush(), Some((TickDelta(3), 1)));
+/// assert_eq!(runs.flush(), None);
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Runs {
+    value: TickDelta,
+    count: usize,
+}
+
+impl Runs {
+    /// Counts one more occurrence of `value`. Returns the run it ended,
+    /// when `value` differs from the open run's.
+    #[inline]
+    #[must_use]
+    pub fn tally(&mut self, value: TickDelta) -> Option<(TickDelta, usize)> {
+        if value == self.value {
+            self.count += 1;
+            return None;
+        }
+        let ended = self.flush();
+        *self = Runs { value, count: 1 };
+        ended
+    }
+
+    /// Closes the open run, if any, and returns it.
+    #[inline]
+    #[must_use]
+    pub fn flush(&mut self) -> Option<(TickDelta, usize)> {
+        let count = core::mem::take(&mut self.count);
+        (count > 0).then_some((self.value, count))
+    }
+}
 
 /// Shared references observe wherever an owned observer does, so one
 /// recorder can be borrowed by several wrapped schemes.
@@ -139,8 +220,8 @@ impl<O: Observer + ?Sized> Observer for &O {
     fn on_restart(&self, now: Tick, interval: TickDelta) {
         (**self).on_restart(now, interval);
     }
-    fn on_fire(&self, deadline: Tick, fired_at: Tick) {
-        (**self).on_fire(deadline, fired_at);
+    fn on_fires(&self, error: TickDelta, count: usize) {
+        (**self).on_fires(error, count);
     }
     fn on_tick_begin(&self, now: Tick) {
         (**self).on_tick_begin(now);
@@ -160,8 +241,8 @@ impl<O: Observer + ?Sized> Observer for &O {
     fn on_command_latency(&self, elapsed: TickDelta) {
         (**self).on_command_latency(elapsed);
     }
-    fn on_wake_latency(&self, elapsed: TickDelta) {
-        (**self).on_wake_latency(elapsed);
+    fn on_wake_latency(&self, elapsed: TickDelta, count: usize) {
+        (**self).on_wake_latency(elapsed, count);
     }
 }
 
@@ -178,8 +259,8 @@ impl<O: Observer + ?Sized> Observer for std::sync::Arc<O> {
     fn on_restart(&self, now: Tick, interval: TickDelta) {
         (**self).on_restart(now, interval);
     }
-    fn on_fire(&self, deadline: Tick, fired_at: Tick) {
-        (**self).on_fire(deadline, fired_at);
+    fn on_fires(&self, error: TickDelta, count: usize) {
+        (**self).on_fires(error, count);
     }
     fn on_tick_begin(&self, now: Tick) {
         (**self).on_tick_begin(now);
@@ -199,8 +280,8 @@ impl<O: Observer + ?Sized> Observer for std::sync::Arc<O> {
     fn on_command_latency(&self, elapsed: TickDelta) {
         (**self).on_command_latency(elapsed);
     }
-    fn on_wake_latency(&self, elapsed: TickDelta) {
-        (**self).on_wake_latency(elapsed);
+    fn on_wake_latency(&self, elapsed: TickDelta, count: usize) {
+        (**self).on_wake_latency(elapsed, count);
     }
 }
 
@@ -208,8 +289,8 @@ impl<O: Observer + ?Sized> Observer for std::sync::Arc<O> {
 /// operation, leaving the inner scheme untouched.
 ///
 /// With the default [`NoopObserver`] the wrapper monomorphizes to the bare
-/// scheme; with a recording observer it reports starts, stops, fires (with
-/// deadline vs. actual for firing-error histograms), and tick windows.
+/// scheme; with a recording observer it reports starts, stops, fires (their
+/// firing errors, one report per run of equal errors), and tick windows.
 ///
 /// # Examples
 ///
@@ -281,14 +362,20 @@ impl<T, S: TimerScheme<T>, O: Observer> TimerScheme<T> for Observed<S, O> {
     fn tick(&mut self, expired: &mut dyn FnMut(Expired<T>)) {
         self.observer.on_tick_begin(self.inner.now());
         let mut fired = 0usize;
+        let mut errors = Runs::default();
         // Split borrow: the closure reads the shared observer while the
         // inner scheme is driven mutably.
         let Observed { inner, observer } = self;
         inner.tick(&mut |e| {
-            observer.on_fire(e.deadline, e.fired_at);
+            if let Some((error, n)) = errors.tally(firing_error(e.deadline, e.fired_at)) {
+                observer.on_fires(error, n);
+            }
             fired += 1;
             expired(e);
         });
+        if let Some((error, n)) = errors.flush() {
+            self.observer.on_fires(error, n);
+        }
         self.observer.on_tick_end(self.inner.now(), fired);
     }
 
@@ -298,12 +385,18 @@ impl<T, S: TimerScheme<T>, O: Observer> TimerScheme<T> for Observed<S, O> {
         // per-tick default, so observation never disables the optimization.
         self.observer.on_tick_begin(self.inner.now());
         let mut fired = 0usize;
+        let mut errors = Runs::default();
         let Observed { inner, observer } = self;
         inner.advance_to_with(deadline, &mut |e| {
-            observer.on_fire(e.deadline, e.fired_at);
+            if let Some((error, n)) = errors.tally(firing_error(e.deadline, e.fired_at)) {
+                observer.on_fires(error, n);
+            }
             fired += 1;
             expired(e);
         });
+        if let Some((error, n)) = errors.flush() {
+            self.observer.on_fires(error, n);
+        }
         self.observer.on_tick_end(self.inner.now(), fired);
     }
 
@@ -358,6 +451,7 @@ mod tests {
         stops: Cell<u64>,
         restarts: Cell<u64>,
         fires: Cell<u64>,
+        reports: Cell<u64>,
         windows: Cell<u64>,
         window_ticks: Cell<u64>,
         open: Cell<u64>,
@@ -373,9 +467,10 @@ mod tests {
         fn on_restart(&self, _now: Tick, _interval: TickDelta) {
             self.restarts.set(self.restarts.get() + 1);
         }
-        fn on_fire(&self, deadline: Tick, fired_at: Tick) {
-            assert_eq!(deadline, fired_at, "oracle fires exactly");
-            self.fires.set(self.fires.get() + 1);
+        fn on_fires(&self, error: TickDelta, count: usize) {
+            assert_eq!(error, TickDelta::ZERO, "oracle fires exactly");
+            self.fires.set(self.fires.get() + count as u64);
+            self.reports.set(self.reports.get() + 1);
         }
         fn on_tick_begin(&self, now: Tick) {
             self.open.set(now.as_u64());
@@ -446,6 +541,25 @@ mod tests {
         assert_eq!(rec.windows.get(), 1, "one batched sweep, one window");
         assert_eq!(rec.window_ticks.get(), 50);
         assert_eq!(rec.fires.get(), 2);
+        assert_eq!(rec.reports.get(), 1, "equal errors make one report");
+    }
+
+    #[test]
+    fn runs_expand_back_to_the_pushed_sequence() {
+        let values = [0u64, 0, 3, 3, 3, 0, 7, 7, 0];
+        let mut runs = Runs::default();
+        let mut reported = alloc::vec::Vec::new();
+        for &v in &values {
+            reported.extend(runs.tally(TickDelta(v)));
+        }
+        reported.extend(runs.flush());
+        assert_eq!(reported.len(), 5, "one report per run of equal values");
+        let expanded: alloc::vec::Vec<u64> = reported
+            .iter()
+            .flat_map(|&(v, n)| core::iter::repeat(v.as_u64()).take(n))
+            .collect();
+        assert_eq!(expanded, values);
+        assert_eq!(runs.flush(), None, "a flushed window holds no run");
     }
 
     #[test]

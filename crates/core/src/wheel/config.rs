@@ -664,7 +664,6 @@ mod tests {
     fn builder_observer_wraps_the_wheel() {
         use crate::observe::Observer;
         use crate::scheme::{TimerScheme, TimerSchemeExt};
-        use crate::time::Tick;
         use core::cell::Cell;
 
         #[derive(Default)]
@@ -672,8 +671,8 @@ mod tests {
             fires: Cell<u64>,
         }
         impl Observer for Counts {
-            fn on_fire(&self, _deadline: Tick, _fired_at: Tick) {
-                self.fires.set(self.fires.get() + 1);
+            fn on_fires(&self, _error: TickDelta, count: usize) {
+                self.fires.set(self.fires.get() + count as u64);
             }
         }
         let counts = Counts::default();

@@ -33,8 +33,8 @@ impl Observer for Counts {
         self.stops.fetch_add(1, Relaxed);
     }
 
-    fn on_fire(&self, _deadline: Tick, _fired_at: Tick) {
-        self.fires.fetch_add(1, Relaxed);
+    fn on_fires(&self, _error: TickDelta, count: usize) {
+        self.fires.fetch_add(count as u64, Relaxed);
     }
 
     fn on_tick_begin(&self, now: Tick) {

@@ -93,14 +93,34 @@ impl LogHistogram {
         }
     }
 
-    /// Records one sample. Wait-free except for the saturating sum (a CAS
-    /// loop that retries only under write contention); never allocates.
+    /// Records one sample: [`record_n`](Self::record_n) with `n = 1`.
     pub fn record(&self, value: u64) {
-        self.buckets[Self::bucket_index(value)].fetch_add(1, Relaxed);
-        self.count.fetch_add(1, Relaxed);
-        self.max.fetch_max(value, Relaxed);
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` samples of `value`, leaving exactly the state `n` calls
+    /// of [`record`](Self::record) would, saturation included. Wait-free
+    /// except for the saturating sum (a CAS loop that retries only under
+    /// write contention); never allocates.
+    ///
+    /// The common cases skip RMWs that would change nothing: a `value` no
+    /// larger than the current max skips the max update (a CAS loop on
+    /// x86), and a zero `value` skips the sum.
+    pub fn record_n(&self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Self::bucket_index(value)].fetch_add(n, Relaxed);
+        self.count.fetch_add(n, Relaxed);
+        if value > self.max.load(Relaxed) {
+            self.max.fetch_max(value, Relaxed);
+        }
+        if value == 0 {
+            return;
+        }
+        let total = value.checked_mul(n);
         let _ = self.sum.fetch_update(Relaxed, Relaxed, |sum| {
-            Some(sum.checked_add(value).unwrap_or_else(|| {
+            Some(total.and_then(|t| sum.checked_add(t)).unwrap_or_else(|| {
                 // Pin at the ceiling rather than wrapping: the snapshot
                 // stays a lower bound and the saturation flag reports it.
                 self.saturated.store(true, Relaxed);
@@ -259,6 +279,38 @@ mod tests {
         h.reset();
         assert!(h.check_saturation().is_ok());
         assert_eq!(h.count(), 0);
+    }
+
+    #[test]
+    fn record_n_matches_n_single_records() {
+        let cases: [&[(u64, u64)]; 4] = [
+            &[(0, 5), (3, 4), (1000, 2), (0, 1)],
+            &[(7, 0), (2, 3)],
+            // Saturates part-way through a run, then keeps counting.
+            &[(u64::MAX / 3, 2), (u64::MAX / 3, 3), (1, 2)],
+            // The run's total alone overflows.
+            &[(u64::MAX - 1, 2), (0, 4)],
+        ];
+        for runs in cases {
+            let batched = LogHistogram::new();
+            let single = LogHistogram::new();
+            for &(v, n) in runs {
+                batched.record_n(v, n);
+                for _ in 0..n {
+                    single.record(v);
+                }
+            }
+            assert_eq!(batched.snapshot(), single.snapshot(), "{runs:?}");
+            assert_eq!(batched.check_saturation(), single.check_saturation());
+            for v in [0, 1, 3, 4, 1000, u64::MAX - 1] {
+                let i = LogHistogram::bucket_index(v);
+                assert_eq!(
+                    batched.buckets[i].load(Relaxed),
+                    single.buckets[i].load(Relaxed),
+                    "bucket {i} of {runs:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -149,10 +149,9 @@ impl Observer for SchemeTelemetry {
         self.restarts.incr();
     }
 
-    fn on_fire(&self, deadline: Tick, fired_at: Tick) {
-        self.fires.incr();
-        self.firing_error
-            .record(fired_at.as_u64().abs_diff(deadline.as_u64()));
+    fn on_fires(&self, error: TickDelta, count: usize) {
+        self.fires.add(count as u64);
+        self.firing_error.record_n(error.as_u64(), count as u64);
     }
 
     fn on_tick_begin(&self, now: Tick) {
@@ -184,9 +183,9 @@ pub struct ServiceTelemetry {
     pub batch_size: LogHistogram,
     /// Ticks from a start command being processed to the timer firing.
     pub command_latency: LogHistogram,
-    /// Ticks from a sleep future registering its waker to the driver
-    /// waking it — the async layer's poll→fire round trip, recorded by
-    /// `tw-async` next to the command-channel latency above.
+    /// Deadline→delivery ticks of each wake the `tw-async` driver
+    /// delivers: the tick its `advance` moved the clock to, minus the
+    /// timer's deadline (see `Observer::on_wake_latency`).
     pub wake_latency: LogHistogram,
 }
 
@@ -252,8 +251,8 @@ impl Observer for ServiceTelemetry {
         self.scheme.on_restart(now, interval);
     }
 
-    fn on_fire(&self, deadline: Tick, fired_at: Tick) {
-        self.scheme.on_fire(deadline, fired_at);
+    fn on_fires(&self, error: TickDelta, count: usize) {
+        self.scheme.on_fires(error, count);
     }
 
     fn on_tick_begin(&self, now: Tick) {
@@ -283,8 +282,8 @@ impl Observer for ServiceTelemetry {
         self.command_latency.record(elapsed.as_u64());
     }
 
-    fn on_wake_latency(&self, elapsed: TickDelta) {
-        self.wake_latency.record(elapsed.as_u64());
+    fn on_wake_latency(&self, elapsed: TickDelta, count: usize) {
+        self.wake_latency.record_n(elapsed.as_u64(), count as u64);
     }
 }
 
