@@ -9,9 +9,12 @@
 //! * **Virtual time** (default) — the caller owns the clock and calls
 //!   [`TimerDriver::advance`], which delivers the whole coalesced wake
 //!   storm before returning. No thread is started.
-//! * **Realtime** ([`TimerDriverBuilder::realtime`]) — one ticker thread
-//!   calls `advance(1)` once per period, so both modes share every line
-//!   of the delivery path.
+//! * **Realtime** ([`TimerDriverBuilder::realtime`]) — the shared
+//!   [`ticker`](tw_concurrent::ticker) thread calls `advance` on a
+//!   drift-free wall-clock grid: tick `k` comes due `k·period` after the
+//!   build, and a late wake delivers the ticks it missed in one batched
+//!   advance. Both modes share every line of the delivery path. A zero
+//!   period starts no ticker and keeps virtual time.
 //!
 //! The fire path is allocation-free and takes the lock once per advance:
 //! the sweep ticks the wheel, routes each expiry's `Request_ID` (the
@@ -54,6 +57,7 @@ use std::task::Waker;
 use std::time::Duration;
 
 use tw_concurrent::sync::Mutex;
+use tw_concurrent::ticker;
 use tw_core::{Observer, RequestId, TickDelta, TimerError, TimerHandle, TimerScheme};
 
 use crate::interval::Interval;
@@ -113,9 +117,10 @@ impl<S> TimerDriverBuilder<S>
 where
     S: TimerScheme<RequestId> + Send + 'static,
 {
-    /// Ticks the wheel once per wall-clock `period` from a driver-owned
-    /// thread, which also delivers the wakes. Without this, the driver
-    /// runs in virtual time and [`TimerDriver::advance`] is the clock.
+    /// Ticks the wheel on a wall-clock grid of `period` from the shared
+    /// [`ticker`](tw_concurrent::ticker) thread, which also delivers the
+    /// wakes. Without this, or with a zero `period`, the driver runs in
+    /// virtual time and [`TimerDriver::advance`] is the clock.
     #[must_use]
     pub fn realtime(mut self, period: Duration) -> Self {
         self.period = Some(period);
@@ -185,17 +190,15 @@ impl TimerDriver {
     ) -> TimerDriver {
         let wheel = Arc::new(Mutex::new(Wheel::new(timers, observer, arena_capacity)));
         if let Some(period) = period {
-            // The realtime clock, detached on purpose: the last handle may
-            // drop on this very thread, inside a wake, where a join would
-            // wait on itself. Holding only a weak reference, it ends within
-            // a period of that drop.
+            // The shared realtime clock. Holding only a weak reference, it
+            // ends within a period of the last handle's drop.
             let driver = Arc::downgrade(&wheel);
-            std::thread::spawn(move || loop {
-                std::thread::sleep(period);
+            ticker::spawn(period, move |ticks| {
                 let Some(wheel) = driver.upgrade() else {
-                    return;
+                    return false;
                 };
-                advance(&wheel, 1);
+                advance(&wheel, ticks);
+                true
             });
         }
         TimerDriver { wheel }
@@ -231,7 +234,7 @@ impl TimerDriver {
     /// the entire coalesced wake storm before returning. Returns the
     /// number of timers the wheel fired.
     ///
-    /// In realtime mode the ticker calls this once per period; an
+    /// In realtime mode the ticker calls this as ticks come due; an
     /// explicit call moves the same clock further.
     pub fn advance(&self, ticks: u64) -> u64 {
         advance(&self.wheel, ticks)

@@ -319,6 +319,20 @@ fn block_on_over_realtime_ticker() {
 }
 
 #[test]
+fn realtime_lateness_stays_under_thirty_percent() {
+    // The ticker keeps tick k on the origin + k·period grid, so neither
+    // oversleep nor the sweep accumulates across 2,000 ticks: only the
+    // last wake can be late.
+    let period = Duration::from_micros(100);
+    let driver = TimerDriver::builder(wheel(256)).realtime(period).build();
+    let begun = std::time::Instant::now();
+    block_on(driver.sleep(TickDelta(2_000)));
+    let took = begun.elapsed();
+    let ideal = period * 2_000;
+    assert!(took <= ideal * 13 / 10, "{took:?} for {ideal:?} of ticks");
+}
+
+#[test]
 fn many_waiters_one_wake_storm() {
     // A batch of same-deadline sleeps: one advance delivers the whole
     // coalesced storm before advance() returns.

@@ -7,8 +7,10 @@
 //! * [`mpsc`] — [`MpscWheel`]: producers push starts onto a lock-free
 //!   queue, one ticker owns the wheel (the tokio/Netty/Kafka shape);
 //!   lazy cancellation, drain-latency semantics.
-//! * [`service`] — [`TimerService`]: an owning timer thread with a channel
-//!   API (single-owner data, the locking alternative).
+//! * [`service`] — [`TimerService`]: any scheme behind one lock, each call
+//!   run in place, expiries delivered on a channel.
+//! * [`ticker`] — the drift-free realtime clock that the service and the
+//!   `tw-async` driver share.
 //!
 //! # Safety posture
 //!
@@ -33,6 +35,7 @@ pub mod mpsc;
 pub mod service;
 pub mod sharded;
 pub mod sync;
+pub mod ticker;
 
 pub use coarse::CoarseLocked;
 pub use mpsc::{MpscExpired, MpscHandle, MpscWheel};

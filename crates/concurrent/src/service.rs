@@ -1,30 +1,35 @@
-//! An owning timer-service thread: the deployable form of the facility.
+//! The timer service: one scheme behind one lock, the deployable form of
+//! the facility.
 //!
-//! A dedicated thread owns one (single-threaded) timer scheme; clients talk
-//! to it over channels. This is the software analogue of the Appendix A.1
-//! chip — "the only communication between the host and chip is through
-//! interrupts" becomes "the only communication is through messages" — and
-//! it keeps the hot data structure single-owner, which §A.2 notes is the
-//! alternative to locking.
+//! Appendix A.2 shares one timer module between processors behind a
+//! lock. [`TimerService`] does exactly that: every client call runs its
+//! routine in place on the calling thread, in one short critical section,
+//! and returns the scheme's `Result` directly. No call pays a message, a
+//! reply channel or a thread hop, and a dead thread is not a failure mode
+//! the service has.
 //!
 //! Time can be driven two ways:
 //!
 //! * **virtual** — clients call [`TimerService::advance`], which is
-//!   deterministic and what the tests and experiments use;
-//! * **real** — [`TimerServiceBuilder::realtime`] runs a wall-clock ticker
-//!   at a fixed tick period.
+//!   deterministic and what the tests and experiments use. No thread is
+//!   started;
+//! * **real** — [`TimerServiceBuilder::realtime`] starts the shared
+//!   [`ticker`], which advances the scheme on a
+//!   drift-free wall-clock grid.
 //!
-//! Expirations are delivered on a channel as [`Expiry`] records.
+//! Expirations are delivered on an unbounded channel as [`Expiry`]
+//! records, sent under the service lock, so with an
+//! [`arena_capacity`](TimerServiceBuilder::arena_capacity) the armed
+//! timers plus the undrained expiries never exceed the cap: a slow
+//! consumer sees [`TimerError::Exhausted`], not an unbounded queue.
 
-use std::collections::HashMap;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::sync::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use crate::sync::Arc;
+use crate::sync::channel::{unbounded, Receiver, Sender};
+use crate::sync::{Arc, Mutex};
+use crate::ticker;
 use tw_core::{
-    NoopObserver, Observed, Observer, RequestId, Tick, TickDelta, TimerError, TimerHandle,
-    TimerScheme,
+    Observed, Observer, RequestId, Tick, TickDelta, TimerError, TimerHandle, TimerScheme,
 };
 
 /// An expiry notification from the service.
@@ -48,36 +53,11 @@ impl Expiry {
     }
 }
 
-enum Cmd {
-    Start {
-        id: RequestId,
-        interval: TickDelta,
-        reply: Sender<Result<TimerHandle, TimerError>>,
-    },
-    Stop {
-        handle: TimerHandle,
-        reply: Sender<Result<RequestId, TimerError>>,
-    },
-    Restart {
-        handle: TimerHandle,
-        interval: TickDelta,
-        reply: Sender<Result<(), TimerError>>,
-    },
-    Advance {
-        ticks: u64,
-        reply: Sender<u64>,
-    },
-    Outstanding {
-        reply: Sender<usize>,
-    },
-    Shutdown,
-}
-
-/// Configures and spawns a [`TimerService`]: the single construction
-/// entry point for the service thread.
+/// Configures and spawns a [`TimerService`]: its single construction
+/// entry point.
 ///
 /// One builder covers wall-clock ticking, a shared [`Observer`] and an
-/// arena admission ceiling:
+/// admission ceiling:
 ///
 /// ```
 /// use tw_concurrent::TimerService;
@@ -102,62 +82,79 @@ impl<S> TimerServiceBuilder<S>
 where
     S: TimerScheme<RequestId> + Send + 'static,
 {
-    /// Drives the clock from wall time: one scheme tick every `period`.
-    /// Without this the service keeps virtual time and only moves on
-    /// [`TimerService::advance`].
+    /// Drives the clock from wall time: tick `k` comes due `k·period`
+    /// after the spawn, and the [`ticker`] delivers any
+    /// ticks a late wake missed in one batched advance. Without this, or
+    /// with a zero `period`, the service keeps virtual time and only
+    /// moves on [`TimerService::advance`].
     pub fn realtime(mut self, period: Duration) -> Self {
         self.period = Some(period);
         self
     }
 
-    /// Reports service events to `observer` (typically a `tw-obs`
-    /// `ServiceTelemetry` behind the `Arc`): the scheme hooks via
-    /// [`Observed`], plus [`Observer::on_queue_depth`] per command picked
-    /// up, [`Observer::on_batch`] per coalesced burst, and
-    /// [`Observer::on_command_latency`] with the command→fire tick
-    /// distance when an armed timer fires.
+    /// Reports the scheme hooks to `observer` (typically a `tw-obs`
+    /// `ServiceTelemetry` behind the `Arc`) through an [`Observed`]
+    /// wrapper.
     pub fn observer(mut self, observer: Arc<dyn Observer + Send + Sync>) -> Self {
         self.observer = Some(observer);
         self
     }
 
-    /// Caps the scheme's arena at `limit` live timers before spawning;
-    /// past the cap, `start_timer` reports [`TimerError::Exhausted`] until
-    /// a stop or expiry frees a slot. Ignored by schemes without an arena
-    /// (every wheel in this workspace has one; see
-    /// [`TimerScheme::set_arena_capacity`]).
+    /// Admits at most `limit` timers that are armed or fired but not yet
+    /// received: `start_timer` reports [`TimerError::Exhausted`] while
+    /// [`outstanding`](TimerService::outstanding) plus the undrained
+    /// [`expiries`](TimerService::expiries) reach `limit`, until a stop,
+    /// or a receive of an expiry, frees a place. Holds for every scheme.
     pub fn arena_capacity(mut self, limit: usize) -> Self {
         self.arena_capacity = Some(limit);
         self
     }
 
-    /// Spawns the owning service thread and returns the client handle.
+    /// Builds the service, and in realtime mode starts its ticker.
     #[must_use]
     pub fn spawn(self) -> TimerService {
-        let TimerServiceBuilder {
-            mut scheme,
-            period,
-            observer,
-            arena_capacity,
-        } = self;
-        if let Some(limit) = arena_capacity {
-            let _ = scheme.set_arena_capacity(limit);
-        }
-        // Dispatch keeps the unobserved path monomorphized over
-        // `NoopObserver` — zero-sized, every hook inlined away — instead of
-        // paying dyn dispatch for no recorder.
-        match observer {
-            Some(o) => TimerService::spawn_inner(scheme, period, o),
-            None => TimerService::spawn_inner(scheme, period, NoopObserver),
-        }
+        // An unobserved scheme is boxed bare: the `NoopObserver` wrapper
+        // would add nothing but a closure layer per fire.
+        let scheme: Box<dyn TimerScheme<RequestId> + Send> = match self.observer {
+            Some(observer) => Box::new(Observed::new(self.scheme, observer)),
+            None => Box::new(self.scheme),
+        };
+        TimerService::start(scheme, self.period, self.arena_capacity)
     }
 }
 
-/// Handle to a running timer-service thread. See the [module docs](self).
+/// The state behind the service lock.
+struct Core {
+    timers: Box<dyn TimerScheme<RequestId> + Send>,
+    expiries: Sender<Expiry>,
+    arena_capacity: Option<usize>,
+}
+
+impl Core {
+    /// Advances the clock by `ticks` in one batched sweep, sending each
+    /// expiry; returns how many timers fired.
+    fn expire_due(&mut self, ticks: u64) -> u64 {
+        let Core {
+            timers, expiries, ..
+        } = self;
+        let target = Tick(timers.now().as_u64().saturating_add(ticks));
+        let mut fired = 0;
+        timers.advance_to_with(target, &mut |e| {
+            fired += 1;
+            let _ = expiries.send(Expiry {
+                id: e.payload,
+                deadline: e.deadline,
+                fired_at: e.fired_at,
+            });
+        });
+        fired
+    }
+}
+
+/// Handle to a timer service. See the [module docs](self).
 pub struct TimerService {
-    cmd: Sender<Cmd>,
+    core: Arc<Mutex<Core>>,
     expiries: Receiver<Expiry>,
-    join: Option<JoinHandle<()>>,
 }
 
 impl TimerService {
@@ -176,320 +173,99 @@ impl TimerService {
         }
     }
 
-    fn spawn_inner<S, O>(scheme: S, period: Option<Duration>, observer: O) -> TimerService
-    where
-        S: TimerScheme<RequestId> + Send + 'static,
-        O: Observer + Clone + Send + 'static,
-    {
-        // The scheme-level hooks ride the Observed wrapper; the service
-        // loop below raises the service-level ones on its own clone.
-        let mut scheme = Observed::new(scheme, observer.clone());
-        // Tick each armed timer was started at, for command→fire latency.
-        let mut armed: HashMap<TimerHandle, Tick> = HashMap::new();
-        let (cmd_tx, cmd_rx) = unbounded::<Cmd>();
-        let (exp_tx, exp_rx) = unbounded::<Expiry>();
-        let join = std::thread::Builder::new()
-            .name("timer-service".into())
-            .spawn(move || {
-                // With a real-time ticker, wait for commands only until the
-                // next tick deadline; with virtual time, wait indefinitely.
-                // tw-analyze: allow(TW003, reason = "the optional real-time ticker is this driver's entire purpose (Appendix A model); virtual-time services pass period = None and never construct next_tick")
-                let mut next_tick = period.map(|p| (Instant::now() + p, p));
-                // A command pulled off the queue while coalescing an
-                // Advance burst, to be handled on the next loop iteration.
-                let mut pending: Option<Cmd> = None;
-                loop {
-                    let cmd = if let Some(c) = pending.take() {
-                        Some(c)
-                    } else if let Some((deadline, p)) = next_tick {
-                        // tw-analyze: allow(TW003, reason = "same real-time ticker: computing the recv timeout until the next wall-clock tick deadline is the driver's job, not scheme logic")
-                        let now = Instant::now();
-                        if now >= deadline {
-                            next_tick = Some((deadline + p, p));
-                            None
-                        } else {
-                            match cmd_rx.recv_timeout(deadline - now) {
-                                Ok(c) => Some(c),
-                                Err(RecvTimeoutError::Timeout) => {
-                                    next_tick = Some((deadline + p, p));
-                                    None
-                                }
-                                Err(RecvTimeoutError::Disconnected) => break,
-                            }
-                        }
-                    } else {
-                        match cmd_rx.recv() {
-                            Ok(c) => Some(c),
-                            Err(_) => break,
-                        }
-                    };
-                    if cmd.is_some() {
-                        observer.on_queue_depth(cmd_rx.len());
-                    }
-                    match cmd {
-                        None => {
-                            // Real-time tick.
-                            let armed = &mut armed;
-                            scheme.tick(&mut |e| {
-                                if let Some(at) = armed.remove(&e.handle) {
-                                    observer.on_command_latency(e.fired_at.since(at));
-                                }
-                                let _ = exp_tx.send(Expiry {
-                                    id: e.payload,
-                                    deadline: e.deadline,
-                                    fired_at: e.fired_at,
-                                });
-                            });
-                        }
-                        Some(Cmd::Start {
-                            id,
-                            interval,
-                            reply,
-                        }) => {
-                            let result = scheme.start_timer(interval, id);
-                            if let Ok(handle) = result {
-                                armed.insert(handle, scheme.now());
-                            }
-                            let _ = reply.send(result);
-                        }
-                        Some(Cmd::Stop { handle, reply }) => {
-                            armed.remove(&handle);
-                            let _ = reply.send(scheme.stop_timer(handle));
-                        }
-                        Some(Cmd::Restart {
-                            handle,
-                            interval,
-                            reply,
-                        }) => {
-                            // Coalesce a burst of queued Restart commands:
-                            // UPDATE semantics make the newest interval per
-                            // handle the only one that takes effect, so one
-                            // relink serves the whole burst. Every command
-                            // for a handle observes the surviving restart's
-                            // result — a superseded interval's deadline
-                            // never takes effect, so neither does its
-                            // error, except zero intervals, which are
-                            // settled per command (they are pure failures
-                            // that mutate nothing).
-                            let mut burst = vec![(handle, interval, reply)];
-                            loop {
-                                match cmd_rx.try_recv() {
-                                    Ok(Cmd::Restart {
-                                        handle,
-                                        interval,
-                                        reply,
-                                    }) => burst.push((handle, interval, reply)),
-                                    Ok(other) => {
-                                        pending = Some(other);
-                                        break;
-                                    }
-                                    Err(_) => break,
-                                }
-                            }
-                            observer.on_batch(burst.len());
-                            let mut newest: HashMap<TimerHandle, TickDelta> = HashMap::new();
-                            for (h, interval, _) in &burst {
-                                if !interval.is_zero() {
-                                    newest.insert(*h, *interval);
-                                }
-                            }
-                            let mut outcome: HashMap<TimerHandle, Result<(), TimerError>> =
-                                HashMap::new();
-                            for (&h, &interval) in &newest {
-                                let r = scheme.restart_timer(h, interval);
-                                if r.is_ok() {
-                                    armed.insert(h, scheme.now());
-                                }
-                                outcome.insert(h, r);
-                            }
-                            for (h, interval, reply) in burst {
-                                let result = if interval.is_zero() {
-                                    Err(TimerError::ZeroInterval)
-                                } else {
-                                    outcome.get(&h).cloned().unwrap_or(Err(TimerError::Stale))
-                                };
-                                let _ = reply.send(result);
-                            }
-                        }
-                        Some(Cmd::Advance { ticks, reply }) => {
-                            // Coalesce a burst of queued Advance commands
-                            // into one batched advance over the scheme's
-                            // fast path, attributing fired counts back to
-                            // each command by its tick window.
-                            let mut windows = vec![(ticks, reply)];
-                            loop {
-                                match cmd_rx.try_recv() {
-                                    Ok(Cmd::Advance { ticks, reply }) => {
-                                        windows.push((ticks, reply));
-                                    }
-                                    Ok(other) => {
-                                        pending = Some(other);
-                                        break;
-                                    }
-                                    Err(_) => break,
-                                }
-                            }
-                            observer.on_batch(windows.len());
-                            let start = scheme.now().as_u64();
-                            let bounds: Vec<u64> = windows
-                                .iter()
-                                .scan(start, |end, w| {
-                                    *end += w.0;
-                                    Some(*end)
-                                })
-                                .collect();
-                            let mut counts = vec![0u64; windows.len()];
-                            let end = bounds.last().copied().unwrap_or(start);
-                            let armed = &mut armed;
-                            scheme.advance_to_with(Tick(end), &mut |e| {
-                                let fired_at = e.fired_at.as_u64();
-                                let w = bounds.partition_point(|&b| b < fired_at);
-                                counts[w] += 1;
-                                if let Some(at) = armed.remove(&e.handle) {
-                                    observer.on_command_latency(e.fired_at.since(at));
-                                }
-                                let _ = exp_tx.send(Expiry {
-                                    id: e.payload,
-                                    deadline: e.deadline,
-                                    fired_at: e.fired_at,
-                                });
-                            });
-                            for ((_, reply), fired) in windows.iter().zip(counts) {
-                                let _ = reply.send(fired);
-                            }
-                        }
-                        Some(Cmd::Outstanding { reply }) => {
-                            let _ = reply.send(scheme.outstanding());
-                        }
-                        Some(Cmd::Shutdown) => break,
-                    }
-                }
-            })
-            .expect("spawn timer-service thread");
-        TimerService {
-            cmd: cmd_tx,
-            expiries: exp_rx,
-            join: Some(join),
+    /// The non-generic rest of [`TimerServiceBuilder::spawn`].
+    fn start(
+        timers: Box<dyn TimerScheme<RequestId> + Send>,
+        period: Option<Duration>,
+        arena_capacity: Option<usize>,
+    ) -> TimerService {
+        let (tx, expiries) = unbounded();
+        let core = Arc::new(Mutex::new(Core {
+            timers,
+            expiries: tx,
+            arena_capacity,
+        }));
+        if let Some(period) = period {
+            let core = Arc::downgrade(&core);
+            ticker::spawn(period, move |ticks| {
+                let Some(core) = core.upgrade() else {
+                    return false;
+                };
+                core.lock().expire_due(ticks);
+                true
+            });
         }
+        TimerService { core, expiries }
     }
 
-    /// `START_TIMER` by message round-trip.
+    /// `START_TIMER`: arms a timer for `id` that expires `interval` ticks
+    /// from the service's current time.
     ///
     /// # Errors
     ///
-    /// Propagates the scheme's errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the service thread has died.
+    /// [`TimerError::Exhausted`] at the
+    /// [`arena_capacity`](TimerServiceBuilder::arena_capacity) cap, and
+    /// otherwise the scheme's errors.
     pub fn start_timer(
         &self,
         id: impl Into<RequestId>,
         interval: TickDelta,
     ) -> Result<TimerHandle, TimerError> {
-        let (tx, rx) = bounded(1);
-        self.round_trip(
-            Cmd::Start {
-                id: id.into(),
-                interval,
-                reply: tx,
-            },
-            &rx,
-        )
+        let mut core = self.core.lock();
+        if let Some(limit) = core.arena_capacity {
+            let held = core
+                .timers
+                .outstanding()
+                .saturating_add(self.expiries.len());
+            if held >= limit {
+                return Err(TimerError::Exhausted);
+            }
+        }
+        core.timers.start_timer(interval, id.into())
     }
 
-    /// Sends `cmd` and blocks for the single reply — the one message
-    /// round-trip every client call is made of.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the service thread has died; this is the audited choke
-    /// point every client round-trip routes through.
-    fn round_trip<R>(&self, cmd: Cmd, rx: &Receiver<R>) -> R {
-        // tw-analyze: allow(TW002, reason = "documented # Panics contract: a dead service thread is unrecoverable infrastructure failure, not a timer-domain error the TimerError enum can express; every client round-trip routes through this one choke point")
-        self.cmd.send(cmd).expect("timer service alive");
-        // tw-analyze: allow(TW002, reason = "same dead-service-thread contract as the send above")
-        rx.recv().expect("timer service alive")
-    }
-
-    /// `STOP_TIMER` by message round-trip; returns the timer's id.
+    /// `STOP_TIMER`; returns the timer's id.
     ///
     /// # Errors
     ///
     /// [`TimerError::Stale`] if the timer already fired or was stopped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the service thread has died.
     pub fn stop_timer(&self, handle: TimerHandle) -> Result<RequestId, TimerError> {
-        let (tx, rx) = bounded(1);
-        self.round_trip(Cmd::Stop { handle, reply: tx }, &rx)
+        self.core.lock().timers.stop_timer(handle)
     }
 
-    /// `UPDATE` by message round-trip: re-arms `handle` to expire
-    /// `interval` ticks after the service's current time, keeping the
-    /// handle valid. Bursts of queued restarts are coalesced by the service
-    /// loop — the newest interval per handle wins, which is exactly what
-    /// executing them in arrival order would leave behind.
+    /// `UPDATE`: re-arms `handle` to expire `interval` ticks after the
+    /// service's current time, keeping the handle valid.
     ///
     /// # Errors
     ///
-    /// Whatever the owned scheme's `restart_timer` returns —
+    /// Whatever the scheme's `restart_timer` returns —
     /// [`TimerError::Stale`] for fired/stopped handles,
     /// [`TimerError::ZeroInterval`], overflow-policy errors, or
     /// [`TimerError::UpdateUnsupported`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the service thread has died.
     pub fn restart_timer(
         &self,
         handle: TimerHandle,
         interval: TickDelta,
     ) -> Result<(), TimerError> {
-        let (tx, rx) = bounded(1);
-        self.round_trip(
-            Cmd::Restart {
-                handle,
-                interval,
-                reply: tx,
-            },
-            &rx,
-        )
+        self.core.lock().timers.restart_timer(handle, interval)
     }
 
-    /// Advances virtual time by `ticks`; returns how many timers fired.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the service thread has died.
+    /// Advances the clock by `ticks` in one batched sweep, sending every
+    /// expiry on the [`expiries`](Self::expiries) channel before it
+    /// returns; returns how many timers fired. In realtime mode the ticker
+    /// calls this too, and an explicit call moves the same clock further.
     pub fn advance(&self, ticks: u64) -> u64 {
-        let (tx, rx) = bounded(1);
-        self.round_trip(Cmd::Advance { ticks, reply: tx }, &rx)
+        self.core.lock().expire_due(ticks)
     }
 
     /// Number of outstanding timers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the service thread has died.
     pub fn outstanding(&self) -> usize {
-        let (tx, rx) = bounded(1);
-        self.round_trip(Cmd::Outstanding { reply: tx }, &rx)
+        self.core.lock().timers.outstanding()
     }
 
     /// The expiry notification channel.
     pub fn expiries(&self) -> &Receiver<Expiry> {
         &self.expiries
-    }
-}
-
-impl Drop for TimerService {
-    fn drop(&mut self) {
-        let _ = self.cmd.send(Cmd::Shutdown);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
     }
 }
 
@@ -551,17 +327,17 @@ mod tests {
     }
 
     #[test]
-    fn restart_bursts_coalesce_to_the_newest_interval() {
+    fn concurrent_restarts_leave_a_restarted_schedule() {
         use std::sync::Arc;
         let svc =
             Arc::new(TimerService::builder(HashedWheelUnsorted::<RequestId>::new(64)).spawn());
         let handles: Vec<TimerHandle> = (0..20u64)
             .map(|i| svc.start_timer(i, TickDelta(500)).unwrap())
             .collect();
-        // Four clients hammer restarts on the same handles; the service
-        // may coalesce any burst shape, but every call must succeed and
-        // each timer must end on *some* successful restart's schedule,
-        // never the original one.
+        // Four clients hammer restarts on the same handles; the lock
+        // orders them in any interleaving, but every call must succeed
+        // and each timer must end on *some* successful restart's
+        // schedule, never the original one.
         let clients: Vec<_> = (0..4u64)
             .map(|c| {
                 let svc = Arc::clone(&svc);
@@ -625,9 +401,9 @@ mod tests {
         for i in 0..40u64 {
             svc.start_timer(i, TickDelta(i % 20 + 1)).unwrap();
         }
-        // Four clients race 5-tick advances; whichever burst shape the
-        // service coalesces them into, each fire must be attributed to
-        // exactly one command's window and none may be lost.
+        // Four clients race 5-tick advances; in whichever order the lock
+        // serializes them, each fire must be counted by exactly one
+        // advance and none may be lost.
         let clients: Vec<_> = (0..4u64)
             .map(|_| {
                 let svc = Arc::clone(&svc);
@@ -652,5 +428,88 @@ mod tests {
             .expect("timer fires under the wall-clock ticker");
         assert_eq!(e.id, RequestId(7));
         assert_eq!(e.fired_at, e.deadline);
+    }
+
+    #[test]
+    fn realtime_lateness_stays_under_thirty_percent() {
+        let period = Duration::from_micros(100);
+        let svc = TimerService::builder(HashedWheelUnsorted::<RequestId>::new(256))
+            .realtime(period)
+            .spawn();
+        let begun = std::time::Instant::now();
+        svc.start_timer(7, TickDelta(2_000)).unwrap();
+        svc.expiries()
+            .recv_timeout(Duration::from_secs(10))
+            .expect("timer fires under the wall-clock ticker");
+        let took = begun.elapsed();
+        let ideal = period * 2_000;
+        assert!(took <= ideal * 13 / 10, "{took:?} for {ideal:?} of ticks");
+    }
+
+    #[test]
+    fn a_slow_consumer_meets_exhausted_and_each_drain_frees_one_start() {
+        let svc = TimerService::builder(HashedWheelUnsorted::<RequestId>::new(64))
+            .arena_capacity(8)
+            .spawn();
+        for i in 0..8u64 {
+            svc.start_timer(i, TickDelta(1)).unwrap();
+        }
+        assert_eq!(svc.start_timer(8, TickDelta(1)), Err(TimerError::Exhausted));
+        assert_eq!(svc.advance(1), 8);
+        assert_eq!(svc.outstanding(), 0);
+        assert_eq!(
+            svc.start_timer(8, TickDelta(1)),
+            Err(TimerError::Exhausted),
+            "undrained expiries keep their places"
+        );
+        for k in 1..=3u64 {
+            svc.expiries().try_recv().unwrap();
+            assert!(svc.start_timer(100 + k, TickDelta(5)).is_ok());
+            assert_eq!(
+                svc.start_timer(200 + k, TickDelta(5)),
+                Err(TimerError::Exhausted),
+                "one drained expiry admits exactly one start"
+            );
+        }
+        assert_eq!(svc.outstanding() + svc.expiries().len(), 8);
+    }
+
+    #[test]
+    fn four_threads_never_push_past_the_cap() {
+        use std::sync::Arc;
+        const CAP: usize = 32;
+        let svc = Arc::new(
+            TimerService::builder(HashedWheelUnsorted::<RequestId>::new(64))
+                .arena_capacity(CAP)
+                .spawn(),
+        );
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
+                let svc = Arc::clone(&svc);
+                std::thread::spawn(move || {
+                    let mut exhausted = 0u64;
+                    for i in 0..500u64 {
+                        match svc.start_timer(t * 1_000 + i, TickDelta(1 + i % 3)) {
+                            Ok(_) => {}
+                            Err(TimerError::Exhausted) => exhausted += 1,
+                            Err(e) => panic!("unexpected {e}"),
+                        }
+                        if i % 4 == 0 {
+                            svc.advance(1);
+                        }
+                        if i % 7 == 0 {
+                            let _ = svc.expiries().try_recv();
+                        }
+                    }
+                    exhausted
+                })
+            })
+            .collect();
+        let exhausted: u64 = threads.into_iter().map(|t| t.join().unwrap()).sum();
+        assert!(exhausted > 0, "the undrained queue reached the cap");
+        assert!(svc.outstanding() + svc.expiries().len() <= CAP);
+        svc.advance(10);
+        assert_eq!(svc.outstanding(), 0);
+        assert!(svc.expiries().len() <= CAP);
     }
 }

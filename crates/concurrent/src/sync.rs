@@ -149,8 +149,9 @@ impl<T> Default for Queue<T> {
 /// A small MPMC channel for the [`service`](crate::service) module: both
 /// halves are `Sync`, so an `Arc<TimerService>` can be shared freely.
 ///
-/// Not compiled under loom — the service spawns a wall-clock thread, which
-/// is outside what the model checker can explore.
+/// Not compiled under loom, and neither is the service: its one-lock
+/// serialization is the shape loom model 5 already checks, and its
+/// realtime ticker is a wall-clock thread the model checker cannot explore.
 #[cfg(not(loom))]
 pub mod channel {
     use std::collections::VecDeque;
@@ -231,14 +232,6 @@ pub mod channel {
             },
             Receiver { chan },
         )
-    }
-
-    /// Creates a channel with at least `_capacity` slots. The backing store
-    /// is unbounded, so senders never block; the parameter exists for
-    /// call-site compatibility with bounded channel APIs (this crate only
-    /// uses it for single-use reply channels).
-    pub fn bounded<T>(_capacity: usize) -> (Sender<T>, Receiver<T>) {
-        unbounded()
     }
 
     impl<T> Clone for Sender<T> {
@@ -351,8 +344,9 @@ pub mod channel {
         }
 
         /// Number of currently queued messages (racy snapshot: concurrent
-        /// sends and receives move it immediately). The service loop reports
-        /// this as its queue-depth telemetry.
+        /// sends and receives move it immediately). The timer service reads
+        /// it under its own lock, where only receives can move it, to count
+        /// undrained expiries against its admission cap.
         pub fn len(&self) -> usize {
             lock(&self.chan).queue.len()
         }

@@ -4,7 +4,7 @@
 //! ([`OpCounters`] reproduces the VAX instruction
 //! model), but a production facility also needs *distributions* — firing
 //! error of the reduced-precision §6.2 variants, per-shard contention,
-//! service queue depth. This module is the hook layer those measurements
+//! wake latency. This module is the hook layer those measurements
 //! attach to:
 //!
 //! * [`Observer`] — a small trait of event hooks, each receiving
@@ -31,9 +31,9 @@
 //!   time reports each tick's fires as a single run.
 //!
 //! Three layers raise the hooks. [`Observed`] wraps any scheme, and the
-//! `tw-concurrent` timer service runs its scheme inside one, adding the
-//! service hooks. `tw-concurrent`'s sharded wheel raises the scheme and
-//! lock hooks inside its own sweeps. `tw-async`'s driver raises them from
+//! `tw-concurrent` timer service runs its scheme inside one when observed.
+//! `tw-concurrent`'s sharded wheel raises the scheme and lock hooks
+//! inside its own sweeps. `tw-async`'s driver raises them from
 //! inside its own critical sections, with no `Observed` layer under its
 //! sweep, and adds the wake latency.
 //!
@@ -58,9 +58,9 @@ use crate::{TimerError, TimerHandle};
 ///
 /// The first six hooks are raised around the §2 routines (plus the UPDATE
 /// extension) by [`Observed`], by `tw-concurrent`'s sharded wheel, and by
-/// `tw-async`'s driver, each with the same arguments. The service-level
-/// hooks (`on_lock`, `on_queue_depth`, `on_batch`, `on_command_latency`)
-/// are raised by `tw-concurrent`'s sharded wheel and timer service, and
+/// `tw-async`'s driver, each with the same arguments (the timer service
+/// raises them through [`Observed`]). [`on_lock`](Observer::on_lock) is
+/// raised by `tw-concurrent`'s sharded wheel alone, and
 /// [`on_wake_latency`](Observer::on_wake_latency) by the `tw-async`
 /// driver alone.
 ///
@@ -113,24 +113,6 @@ pub trait Observer {
     /// uncontended fast path failed and the caller had to block.
     fn on_lock(&self, shard: usize, contended: bool) {
         let _ = (shard, contended);
-    }
-
-    /// Command-channel depth observed by the service loop when it picked up
-    /// a command.
-    fn on_queue_depth(&self, depth: usize) {
-        let _ = depth;
-    }
-
-    /// The service coalesced `coalesced` queued `Advance` commands into one
-    /// batched sweep.
-    fn on_batch(&self, coalesced: usize) {
-        let _ = coalesced;
-    }
-
-    /// End-to-end command→fire latency: the elapsed ticks between the
-    /// service processing a start command and the timer firing.
-    fn on_command_latency(&self, elapsed: TickDelta) {
-        let _ = elapsed;
     }
 
     /// Deadline→delivery latency of the async layer, in ticks, shared by
@@ -232,15 +214,6 @@ impl<O: Observer + ?Sized> Observer for &O {
     fn on_lock(&self, shard: usize, contended: bool) {
         (**self).on_lock(shard, contended);
     }
-    fn on_queue_depth(&self, depth: usize) {
-        (**self).on_queue_depth(depth);
-    }
-    fn on_batch(&self, coalesced: usize) {
-        (**self).on_batch(coalesced);
-    }
-    fn on_command_latency(&self, elapsed: TickDelta) {
-        (**self).on_command_latency(elapsed);
-    }
     fn on_wake_latency(&self, elapsed: TickDelta, count: usize) {
         (**self).on_wake_latency(elapsed, count);
     }
@@ -270,15 +243,6 @@ impl<O: Observer + ?Sized> Observer for std::sync::Arc<O> {
     }
     fn on_lock(&self, shard: usize, contended: bool) {
         (**self).on_lock(shard, contended);
-    }
-    fn on_queue_depth(&self, depth: usize) {
-        (**self).on_queue_depth(depth);
-    }
-    fn on_batch(&self, coalesced: usize) {
-        (**self).on_batch(coalesced);
-    }
-    fn on_command_latency(&self, elapsed: TickDelta) {
-        (**self).on_command_latency(elapsed);
     }
     fn on_wake_latency(&self, elapsed: TickDelta, count: usize) {
         (**self).on_wake_latency(elapsed, count);

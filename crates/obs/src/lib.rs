@@ -9,8 +9,8 @@
 //!   verify this transitively).
 //! * [`SchemeTelemetry`] / [`ServiceTelemetry`] — `Observer` impls that
 //!   tally the §2 routines, the §6.2 firing-error distribution, and (for
-//!   the concurrent service) lock contention, queue depth, `Advance`
-//!   coalescing, and command→fire latency.
+//!   the front-ends) the sharded wheel's lock contention and the async
+//!   driver's wake latency.
 //! * [`Snapshot`] — an ordered counter/histogram bundle with hand-rolled
 //!   JSON rendering (the workspace vendors no serde), `std`-only.
 //!

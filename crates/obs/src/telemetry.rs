@@ -2,10 +2,9 @@
 //! [`LogHistogram`]s, for scraping as [`Snapshot`]s.
 //!
 //! Both telemetry types record through `&self` with relaxed atomics, so one
-//! instance can sit behind an `Arc` shared by the service loop, the ticker
-//! thread, and every client — and their hook bodies never allocate, which
-//! is what lets them ride inside `PER_TICK_BOOKKEEPING` under the TW008
-//! lint.
+//! instance can sit behind an `Arc` shared by the ticker thread and every
+//! client — and their hook bodies never allocate, which is what lets them
+//! ride inside `PER_TICK_BOOKKEEPING` under the TW008 lint.
 
 use core::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -166,9 +165,10 @@ impl Observer for SchemeTelemetry {
     }
 }
 
-/// Service-level telemetry for `tw-concurrent`: everything
-/// [`SchemeTelemetry`] records, plus shard-lock contention, command-channel
-/// depth, `Advance` coalescing, and end-to-end command→fire latency.
+/// Front-end telemetry: everything [`SchemeTelemetry`] records, plus the
+/// shard-lock contention of `tw-concurrent`'s sharded wheel and the
+/// deadline→delivery latency of the `tw-async` driver's wakes. The timer
+/// service and the driver feed its scheme tallies.
 #[derive(Debug, Default)]
 pub struct ServiceTelemetry {
     /// The per-scheme tallies, fed by the same five hooks.
@@ -177,12 +177,12 @@ pub struct ServiceTelemetry {
     pub locks: Counter,
     /// Acquisitions where the uncontended fast path failed.
     pub contended: Counter,
-    /// Command-channel depth seen by the service loop per command.
+    /// Recorded by nothing: no front-end has a command queue. Kept,
+    /// always empty, for readers of the snapshot's `queue_depth` key.
     pub queue_depth: LogHistogram,
-    /// Queued `Advance` commands coalesced into each batched sweep.
+    /// Recorded by nothing: no front-end coalesces commands. Kept, always
+    /// empty, for readers of the snapshot's `batch_size` key.
     pub batch_size: LogHistogram,
-    /// Ticks from a start command being processed to the timer firing.
-    pub command_latency: LogHistogram,
     /// Deadline→delivery ticks of each wake the `tw-async` driver
     /// delivers: the tick its `advance` moved the clock to, minus the
     /// timer's deadline (see `Observer::on_wake_latency`).
@@ -198,7 +198,6 @@ impl ServiceTelemetry {
             contended: Counter::new(),
             queue_depth: LogHistogram::new(),
             batch_size: LogHistogram::new(),
-            command_latency: LogHistogram::new(),
             wake_latency: LogHistogram::new(),
         }
     }
@@ -208,7 +207,6 @@ impl ServiceTelemetry {
         self.scheme.check_saturation()?;
         self.queue_depth.check_saturation()?;
         self.batch_size.check_saturation()?;
-        self.command_latency.check_saturation()?;
         self.wake_latency.check_saturation()
     }
 
@@ -219,7 +217,6 @@ impl ServiceTelemetry {
         self.contended.reset();
         self.queue_depth.reset();
         self.batch_size.reset();
-        self.command_latency.reset();
         self.wake_latency.reset();
     }
 
@@ -232,7 +229,6 @@ impl ServiceTelemetry {
         s.counter("contended", self.contended.get());
         s.histogram("queue_depth", self.queue_depth.snapshot());
         s.histogram("batch_size", self.batch_size.snapshot());
-        s.histogram("command_latency", self.command_latency.snapshot());
         s.histogram("wake_latency", self.wake_latency.snapshot());
         s
     }
@@ -268,18 +264,6 @@ impl Observer for ServiceTelemetry {
         if contended {
             self.contended.incr();
         }
-    }
-
-    fn on_queue_depth(&self, depth: usize) {
-        self.queue_depth.record(depth as u64);
-    }
-
-    fn on_batch(&self, coalesced: usize) {
-        self.batch_size.record(coalesced as u64);
-    }
-
-    fn on_command_latency(&self, elapsed: TickDelta) {
-        self.command_latency.record(elapsed.as_u64());
     }
 
     fn on_wake_latency(&self, elapsed: TickDelta, count: usize) {
@@ -342,19 +326,16 @@ mod tests {
         let obs: &dyn Fn(&ServiceTelemetry) = &|t| {
             t.on_lock(0, false);
             t.on_lock(1, true);
-            t.on_queue_depth(3);
-            t.on_batch(4);
-            t.on_command_latency(TickDelta(17));
+            t.on_wake_latency(TickDelta(17), 2);
         };
         obs(&tele);
         assert_eq!(tele.locks.get(), 2);
         assert_eq!(tele.contended.get(), 1);
-        assert_eq!(tele.queue_depth.count(), 1);
-        assert_eq!(tele.batch_size.max(), 4);
-        assert_eq!(tele.command_latency.percentile(100), 31, "bucket [16,32)");
+        assert_eq!(tele.wake_latency.count(), 2);
+        assert_eq!(tele.wake_latency.percentile(100), 31, "bucket [16,32)");
         assert!(tele.check_saturation().is_ok());
         tele.reset();
         assert_eq!(tele.locks.get(), 0);
-        assert_eq!(tele.command_latency.count(), 0);
+        assert_eq!(tele.wake_latency.count(), 0);
     }
 }

@@ -1,8 +1,8 @@
-//! The deployable form: a timer-service thread owning a hierarchical wheel,
-//! with clients talking to it over channels (Appendix A.1's host/chip split
-//! done in software).
+//! The deployable form: a hierarchical wheel behind one lock (Appendix
+//! A.2), which client threads call in place, with expiries delivered on a
+//! channel. First in virtual time, then on the shared realtime ticker.
 //!
-//! Run with `cargo run --example timer_service`.
+//! Run with `cargo run --release --example timer_service`.
 
 // Demo binary: aborting on an unexpected error is the right behavior, and
 // interval arithmetic here is illustrative, not the audited tick domain.
