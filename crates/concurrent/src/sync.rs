@@ -146,8 +146,9 @@ impl<T> Default for Queue<T> {
     }
 }
 
-/// A small MPMC channel for the [`service`](crate::service) module: both
-/// halves are `Sync`, so an `Arc<TimerService>` can be shared freely.
+/// A small single-sender channel for the [`service`](crate::service)
+/// module: both halves are `Sync`, so an `Arc<TimerService>` can be shared
+/// freely, and its one `Sender` dropping disconnects the receiver.
 ///
 /// Not compiled under loom, and neither is the service: its one-lock
 /// serialization is the shape loom model 5 already checks, and its
@@ -160,7 +161,7 @@ pub mod channel {
 
     struct ChanState<T> {
         queue: VecDeque<T>,
-        senders: usize,
+        sender_alive: bool,
         receiver_alive: bool,
     }
 
@@ -173,7 +174,7 @@ pub mod channel {
         chan.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Sending half; cloneable, `Send + Sync`.
+    /// Sending half; one per channel, `Send + Sync`.
     pub struct Sender<T> {
         chan: Arc<Chan<T>>,
     }
@@ -194,7 +195,7 @@ pub mod channel {
         }
     }
 
-    /// The channel is empty and has no senders anymore.
+    /// The channel is empty and its sender is gone.
     #[derive(Debug, PartialEq, Eq)]
     pub struct RecvError;
 
@@ -203,7 +204,7 @@ pub mod channel {
     pub enum TryRecvError {
         /// No message queued right now.
         Empty,
-        /// No message queued and every sender is gone.
+        /// No message queued and the sender is gone.
         Disconnected,
     }
 
@@ -212,7 +213,7 @@ pub mod channel {
     pub enum RecvTimeoutError {
         /// The deadline elapsed first.
         Timeout,
-        /// Every sender is gone and the queue is drained.
+        /// The sender is gone and the queue is drained.
         Disconnected,
     }
 
@@ -221,7 +222,7 @@ pub mod channel {
         let chan = Arc::new(Chan {
             state: Mutex::new(ChanState {
                 queue: VecDeque::new(),
-                senders: 1,
+                sender_alive: true,
                 receiver_alive: true,
             }),
             cv: Condvar::new(),
@@ -234,22 +235,10 @@ pub mod channel {
         )
     }
 
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            lock(&self.chan).senders += 1;
-            Sender {
-                chan: Arc::clone(&self.chan),
-            }
-        }
-    }
-
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
-            let mut st = lock(&self.chan);
-            st.senders -= 1;
-            if st.senders == 0 {
-                self.chan.cv.notify_all();
-            }
+            lock(&self.chan).sender_alive = false;
+            self.chan.cv.notify_all();
         }
     }
 
@@ -281,14 +270,14 @@ pub mod channel {
         ///
         /// # Errors
         ///
-        /// [`RecvError`] when the queue is drained and all senders are gone.
+        /// [`RecvError`] when the queue is drained and the sender is gone.
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut st = lock(&self.chan);
             loop {
                 if let Some(v) = st.queue.pop_front() {
                     return Ok(v);
                 }
-                if st.senders == 0 {
+                if !st.sender_alive {
                     return Err(RecvError);
                 }
                 st = self.chan.cv.wait(st).unwrap_or_else(|e| e.into_inner());
@@ -304,7 +293,7 @@ pub mod channel {
             let mut st = lock(&self.chan);
             match st.queue.pop_front() {
                 Some(v) => Ok(v),
-                None if st.senders == 0 => Err(TryRecvError::Disconnected),
+                None if !st.sender_alive => Err(TryRecvError::Disconnected),
                 None => Err(TryRecvError::Empty),
             }
         }
@@ -322,7 +311,7 @@ pub mod channel {
                 if let Some(v) = st.queue.pop_front() {
                     return Ok(v);
                 }
-                if st.senders == 0 {
+                if !st.sender_alive {
                     return Err(RecvTimeoutError::Disconnected);
                 }
                 let now = Instant::now();
@@ -395,6 +384,26 @@ pub mod channel {
             );
             tx.send(3).unwrap();
             assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(3));
+        }
+
+        #[test]
+        fn recv_timeout_drains_then_reports_disconnect() {
+            let (tx, rx) = unbounded::<u32>();
+            tx.send(4).unwrap();
+            drop(tx);
+            let wait = Duration::from_secs(10);
+            assert_eq!(rx.recv_timeout(wait), Ok(4));
+            // Disconnected at once, not after the 10 s timeout.
+            assert_eq!(rx.recv_timeout(wait), Err(RecvTimeoutError::Disconnected));
+        }
+
+        #[test]
+        fn dropping_the_sender_wakes_a_blocked_receiver() {
+            let (tx, rx) = unbounded::<u32>();
+            let blocked = std::thread::spawn(move || rx.recv());
+            std::thread::sleep(Duration::from_millis(20));
+            drop(tx);
+            assert_eq!(blocked.join().unwrap(), Err(RecvError));
         }
 
         #[test]
